@@ -39,49 +39,35 @@ let tool_conv =
   Arg.conv (parse, print)
 
 let engine_conv =
-  let parse = function
-    | "interp" -> Ok `Interp
-    | "vm" -> Ok `Vm
-    | "vm-buggy-cycles" -> Ok `Vm_buggy
-    | s ->
-      Error
-        (`Msg (Printf.sprintf "unknown engine %S (interp|vm|vm-buggy-cycles)" s))
-  in
-  let print ppf e =
-    Fmt.string ppf
-      (match e with
-      | `Interp -> "interp"
-      | `Vm -> "vm"
-      | `Vm_buggy -> "vm-buggy-cycles")
-  in
+  let parse s = Result.map_error (fun m -> `Msg m) (Engine.of_string s) in
+  let print ppf e = Fmt.string ppf (Engine.to_string e) in
   Arg.conv (parse, print)
 
-(* Resolve --engine into the process-wide default that Execution.run picks
-   up.  vm-buggy-cycles is the planted miscounting bug kept around for the
-   differential-testing net — a live demonstration that the golden pins
-   and the sweep catch a one-cycle divergence. *)
-let apply_engine = function
-  | `Interp ->
-    Vm.buggy_cycles := false;
-    Engine.set_default Engine.Interp
-  | `Vm ->
-    Vm.buggy_cycles := false;
-    Engine.set_default Engine.Vm
-  | `Vm_buggy ->
-    Vm.buggy_cycles := true;
-    Engine.set_default Engine.Vm
+let app_conv =
+  let parse name =
+    match Buggy_app.by_name name with
+    | Some app -> Ok app
+    | None ->
+      Error
+        (`Msg
+          (Printf.sprintf "unknown application %S; try 'csod_run list'" name))
+  in
+  let print ppf (app : Buggy_app.t) = Fmt.string ppf app.Buggy_app.name in
+  Arg.conv (parse, print)
 
 (* Shared options *)
+let app_arg =
+  Arg.(required & pos 0 (some app_conv) None
+       & info [] ~docv:"APP" ~doc:"Application name (see $(b,list)).")
+
 let engine_arg =
-  Arg.(value & opt engine_conv `Vm
+  Arg.(value & opt engine_conv Engine.Vm
        & info [ "engine" ] ~docv:"ENGINE"
            ~doc:"MiniC execution engine: $(b,vm) (default — compiled \
-                 bytecode, several times faster), $(b,interp) (the \
-                 reference AST interpreter), or $(b,vm-buggy-cycles) (the \
-                 VM with a deliberately planted cycle-miscounting bug, for \
-                 exercising the differential-testing net).  Both real \
-                 engines are observably bit-identical: same virtual \
-                 cycles, detections, output and PRNG stream.")
+                 bytecode, several times faster) or $(b,interp) (the \
+                 reference AST interpreter).  Both are observably \
+                 bit-identical: same virtual cycles, detections, output and \
+                 PRNG stream.")
 
 let policy_arg =
   Arg.(value & opt policy_conv Params.Near_fifo
@@ -119,13 +105,13 @@ let faults_arg =
   Arg.(value & opt (some faults_conv) None
        & info [ "faults" ] ~docv:"SPEC"
            ~doc:"Deterministic fault injection plan, e.g. \
-                 $(b,seed=7,ebusy=0.25,trap-drop=0.1,persist-torn\\@0).  \
+                 $(b,seed=7,ebusy=0.25,trap-drop=0.1,persist-torn@0).  \
                  Points: ebusy, eacces (perf_event_open failures), \
                  trap-drop, trap-delay (SIGTRAP delivery), persist-torn, \
                  persist-enospc (store writes), worker-crash (fleet pool).  \
                  $(i,point)=$(i,RATE) fails that fraction of opportunities; \
-                 $(i,point)\\@$(i,T) fails once at virtual second T \
-                 (worker-crash\\@N: chunk index N).  Faults draw from their \
+                 $(i,point)@$(i,T) fails once at virtual second T \
+                 (worker-crash@N: chunk index N).  Faults draw from their \
                  own PRNG stream, so a plan of $(b,none) is bit-identical \
                  to no plan.")
 
@@ -335,86 +321,76 @@ let print_outcome app (o : Execution.outcome) =
        canary-only detection\n"
 
 let run_cmd =
-  let app_arg =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"APP" ~doc:"Application name (see $(b,list)).")
-  in
-  let run name engine tool policy no_evidence benign seed runs store_file
+  let run app engine tool policy no_evidence benign seed runs store_file
       faults respond metrics profile metrics_json events snapshot_sec flight
       trace_out =
-    apply_engine engine;
-    match Buggy_app.by_name name with
-    | None ->
-      Printf.eprintf "unknown application %S; try 'csod_run list'\n" name;
-      exit 1
-    | Some app ->
-      let config = config_of ~tool ~policy ~no_evidence in
-      let store = load_store store_file in
-      let input = if benign then Execution.Benign else Execution.Buggy in
-      let snapshot_cycles = snapshot_cycles_of snapshot_sec in
-      let cap = recorder_capacity ~flight ~trace_out in
-      let detected = ref 0 in
-      let survived = ref 0 in
-      let last = ref None in
-      let last_rec = ref None in
-      with_events events (fun () ->
-          for s = seed to seed + runs - 1 do
-            let execute () =
-              Execution.run ~app ~config ~input ~seed:s ~store ~respond
-                ~snapshot_cycles ?faults ()
-            in
-            let o =
-              match cap with
-              | None -> execute ()
-              | Some capacity ->
-                (* A fresh recorder per execution so the kept recording is
-                   one coherent run, not a splice. *)
-                let r = Flight_recorder.create ~capacity () in
-                last_rec := Some r;
-                Flight_recorder.with_recorder r execute
-            in
-            if runs = 1 then print_outcome app o;
-            if o.Execution.detected then incr detected;
-            if o.Execution.survived then incr survived;
-            last := Some o
-          done);
-      if runs > 1 then begin
-        Printf.printf "%s: detected in %d/%d executions (%s)\n" app.Buggy_app.name
-          !detected runs (Config.label config);
-        if respond = Respond.Oblivious then
-          Printf.printf "%s: survived %d/%d executions under oblivious mode\n"
-            app.Buggy_app.name !survived runs;
-        match !last with
-        | Some o ->
-          print_fault_summary o.Execution.faults;
-          if o.Execution.degraded then
-            Printf.printf "(final execution degraded to canary-only mode)\n"
-        | None -> ()
-      end;
-      (match !last with
+    let config = config_of ~tool ~policy ~no_evidence in
+    let store = load_store store_file in
+    let input = if benign then Execution.Benign else Execution.Buggy in
+    let snapshot_cycles = snapshot_cycles_of snapshot_sec in
+    let cap = recorder_capacity ~flight ~trace_out in
+    let detected = ref 0 in
+    let survived = ref 0 in
+    let last = ref None in
+    let last_rec = ref None in
+    with_events events (fun () ->
+        for s = seed to seed + runs - 1 do
+          let execute () =
+            Execution.run ~app ~config ~engine ~input ~seed:s ~store
+              ~respond ~snapshot_cycles ?faults ()
+          in
+          let o =
+            match cap with
+            | None -> execute ()
+            | Some capacity ->
+              (* A fresh recorder per execution so the kept recording is
+                 one coherent run, not a splice. *)
+              let r = Flight_recorder.create ~capacity () in
+              last_rec := Some r;
+              Flight_recorder.with_recorder r execute
+          in
+          if runs = 1 then print_outcome app o;
+          if o.Execution.detected then incr detected;
+          if o.Execution.survived then incr survived;
+          last := Some o
+        done);
+    if runs > 1 then begin
+      Printf.printf "%s: detected in %d/%d executions (%s)\n" app.Buggy_app.name
+        !detected runs (Config.label config);
+      if respond = Respond.Oblivious then
+        Printf.printf "%s: survived %d/%d executions under oblivious mode\n"
+          app.Buggy_app.name !survived runs;
+      match !last with
       | Some o ->
-        (* With --runs > 1 the telemetry shown is the final execution's:
-           each execution runs on a fresh machine, so registries are not
-           carried across runs. *)
-        if (metrics || profile) && runs > 1 then
-          Printf.printf "(telemetry of the final execution, seed %d)\n"
-            (seed + runs - 1);
-        emit_telemetry ~metrics ~profile ~metrics_json o.Execution.telemetry
-          ~cycles:o.Execution.cycles
-      | None -> ());
-      (match !last_rec with
-      | Some r ->
-        if runs > 1 then
-          Printf.printf "(flight recording of the final execution, seed %d)\n"
-            (seed + runs - 1);
-        print_recorder_summary r;
-        (match trace_out with
-        | Some file -> write_trace file (Flight_recorder.records r)
-        | None -> ())
-      | None -> ());
-      save_store
-        ?faults:(match !last with Some o -> o.Execution.faults | None -> None)
-        store store_file
+        print_fault_summary o.Execution.faults;
+        if o.Execution.degraded then
+          Printf.printf "(final execution degraded to canary-only mode)\n"
+      | None -> ()
+    end;
+    (match !last with
+    | Some o ->
+      (* With --runs > 1 the telemetry shown is the final execution's:
+         each execution runs on a fresh machine, so registries are not
+         carried across runs. *)
+      if (metrics || profile) && runs > 1 then
+        Printf.printf "(telemetry of the final execution, seed %d)\n"
+          (seed + runs - 1);
+      emit_telemetry ~metrics ~profile ~metrics_json o.Execution.telemetry
+        ~cycles:o.Execution.cycles
+    | None -> ());
+    (match !last_rec with
+    | Some r ->
+      if runs > 1 then
+        Printf.printf "(flight recording of the final execution, seed %d)\n"
+          (seed + runs - 1);
+      print_recorder_summary r;
+      (match trace_out with
+      | Some file -> write_trace file (Flight_recorder.records r)
+      | None -> ())
+    | None -> ());
+    save_store
+      ?faults:(match !last with Some o -> o.Execution.faults | None -> None)
+      store store_file
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a bundled buggy application under a detection tool.")
@@ -426,40 +402,31 @@ let run_cmd =
 (* ---- explain: post-mortem diagnosis ---- *)
 
 let explain_cmd =
-  let app_arg =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"APP" ~doc:"Application name (see $(b,list)).")
-  in
-  let run name policy no_evidence benign seed runs flight trace_out =
-    match Buggy_app.by_name name with
-    | None ->
-      Printf.eprintf "unknown application %S; try 'csod_run list'\n" name;
-      exit 1
-    | Some app ->
-      let config = Config.csod_with_policy policy ~evidence:(not no_evidence) in
-      let input = if benign then Execution.Benign else Execution.Buggy in
-      let capacity =
-        Option.value flight ~default:Flight_recorder.default_capacity
+  let run app policy no_evidence benign seed runs flight trace_out =
+    let config = Config.csod_with_policy policy ~evidence:(not no_evidence) in
+    let input = if benign then Execution.Benign else Execution.Buggy in
+    let capacity =
+      Option.value flight ~default:Flight_recorder.default_capacity
+    in
+    let a = Postmortem.analyze ~app ~config ~input ~seed ~capacity () in
+    Printf.printf "%s, %s, seed %d\n" app.Buggy_app.name (Config.label config)
+      seed;
+    print_string (Postmortem.render ~symbolize:(Execution.symbolizer app) a);
+    (match trace_out with
+    | Some file -> write_trace file a.Postmortem.records
+    | None -> ());
+    if runs > 1 then begin
+      Printf.printf "\n=== miss attribution over %d runs (seeds %d..%d) ===\n"
+        runs seed (seed + runs - 1);
+      let tally =
+        Effectiveness.miss_attribution ~app ~config ~runs ~from_seed:seed ()
       in
-      let a = Postmortem.analyze ~app ~config ~input ~seed ~capacity () in
-      Printf.printf "%s, %s, seed %d\n" app.Buggy_app.name (Config.label config)
-        seed;
-      print_string (Postmortem.render ~symbolize:(Execution.symbolizer app) a);
-      (match trace_out with
-      | Some file -> write_trace file a.Postmortem.records
-      | None -> ());
-      if runs > 1 then begin
-        Printf.printf "\n=== miss attribution over %d runs (seeds %d..%d) ===\n"
-          runs seed (seed + runs - 1);
-        let tally =
-          Effectiveness.miss_attribution ~app ~config ~runs ~from_seed:seed ()
-        in
-        List.iter
-          (fun (label, n) ->
-            Printf.printf "  %-24s %5d  (%.1f%%)\n" label n
-              (100.0 *. float_of_int n /. float_of_int runs))
-          tally
-      end
+      List.iter
+        (fun (label, n) ->
+          Printf.printf "  %-24s %5d  (%.1f%%)\n" label n
+            (100.0 *. float_of_int n /. float_of_int runs))
+        tally
+    end
   in
   Cmd.v
     (Cmd.info "explain"
@@ -484,10 +451,6 @@ let burst_conv =
   Arg.conv (parse, print)
 
 let fleet_cmd =
-  let app_arg =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"APP" ~doc:"Application name.")
-  in
   let users_arg =
     Arg.(value & opt int 1000 & info [ "users" ] ~docv:"N" ~doc:"Fleet size.")
   in
@@ -535,14 +498,6 @@ let fleet_cmd =
                    barrier to $(docv) (default stdout), flushed line by \
                    line — tail it, or watch it with $(b,csod_run top).")
   in
-  let no_sharded_arg =
-    Arg.(value & flag
-         & info [ "no-sharded" ]
-             ~doc:"Aggregate telemetry with the legacy per-user fold instead \
-                   of per-domain shards.  The report is bit-identical either \
-                   way; this exists for A/B-ing the merge cost (the health \
-                   stream's $(b,merge_seconds)).")
-  in
   let fleet_trace_arg =
     Arg.(value & opt (some string) None
          & info [ "trace-out" ] ~docv:"FILE"
@@ -551,87 +506,80 @@ let fleet_cmd =
                    to $(docv) ($(b,-) for stdout) — open it in \
                    ui.perfetto.dev.")
   in
-  let run name engine users domains epoch benign_frac burst wave_period seed
-      policy no_evidence store_file faults respond json live no_sharded
-      trace_out =
-    apply_engine engine;
-    match Buggy_app.by_name name with
-    | None ->
-      Printf.eprintf "unknown application %S\n" name;
-      exit 1
-    | Some app ->
-      let config = config_of ~tool:`Csod ~policy ~no_evidence in
-      let workload =
-        Workload.make ~benign_frac ~base_seed:seed ~burst ~wave_period ~users
-          ()
-      in
-      (* The live stream goes through the fleet's health callback — invoked
-         at barriers, in the main domain — NOT through a process-global
-         event sink, which runtime trace points would race from the worker
-         domains. *)
-      let with_live f =
-        match live with
-        | None -> f None
-        | Some "-" -> f (Some stdout)
-        | Some file -> Out_channel.with_open_text file (fun oc -> f (Some oc))
-      in
-      with_live (fun live_oc ->
-          let on_health =
-            Option.map
-              (fun oc s ->
-                output_string oc (Obs_json.to_string (Health.to_json s));
-                output_char oc '\n';
-                (* Line-by-line flush: the stream is tail-able while the
-                   run is still going. *)
-                flush oc)
-              live_oc
+  let run app engine users domains epoch benign_frac burst wave_period seed
+      policy no_evidence store_file faults respond json live trace_out =
+    let config = config_of ~tool:`Csod ~policy ~no_evidence in
+    let workload =
+      Workload.make ~benign_frac ~base_seed:seed ~burst ~wave_period ~users
+        ()
+    in
+    (* The live stream goes through the fleet's health callback — invoked
+       at barriers, in the main domain — NOT through a process-global
+       event sink, which runtime trace points would race from the worker
+       domains. *)
+    let with_live f =
+      match live with
+      | None -> f None
+      | Some "-" -> f (Some stdout)
+      | Some file -> Out_channel.with_open_text file (fun oc -> f (Some oc))
+    in
+    with_live (fun live_oc ->
+        let on_health =
+          Option.map
+            (fun oc s ->
+              output_string oc (Obs_json.to_string (Health.to_json s));
+              output_char oc '\n';
+              (* Line-by-line flush: the stream is tail-able while the
+                 run is still going. *)
+              flush oc)
+            live_oc
+        in
+        let cfg =
+          Fleet.config ~domains ~epoch_size:epoch ?faults
+            ~trace:(trace_out <> None)
+            ?on_health
+            ?patch_threshold:
+              (match respond with Respond.Patch n -> Some n | _ -> None)
+            workload
+        in
+        let store =
+          match store_file with Some f -> Some (Persist.load f) | None -> None
+        in
+        let report =
+          Fleet.run ?store cfg
+            ~execute:
+              (Execution.executor ~app ~config ~engine ~respond ?faults ())
+        in
+        save_store ?faults:report.Fleet.faults report.Fleet.store store_file;
+        (match trace_out with
+        | None -> ()
+        | Some out ->
+          let s =
+            Trace_export.fleet_spans_to_string ~domains
+              report.Fleet.trace_spans
           in
-          let cfg =
-            Fleet.config ~domains ~epoch_size:epoch ?faults
-              ~sharded:(not no_sharded)
-              ~trace:(trace_out <> None)
-              ?on_health
-              ?patch_threshold:
-                (match respond with Respond.Patch n -> Some n | _ -> None)
-              workload
-          in
-          let store =
-            match store_file with Some f -> Some (Persist.load f) | None -> None
-          in
-          let report =
-            Fleet.run ?store cfg
-              ~execute:(Execution.executor ~app ~config ~respond ?faults ())
-          in
-          save_store ?faults:report.Fleet.faults report.Fleet.store store_file;
-          (match trace_out with
+          (match out with
+          | "-" -> print_endline s
+          | file ->
+            Out_channel.with_open_text file (fun oc ->
+                output_string oc s;
+                output_char oc '\n');
+            (* stderr: stdout may be carrying --json or --live=- *)
+            Printf.eprintf "fleet trace written to %s\n" file));
+        if json then
+          print_endline
+            (Obs_json.to_string
+               (Fleet.to_json ~app:app.Buggy_app.name
+                  ~config:(Config.label config) report))
+        else if live <> Some "-" then begin
+          Printf.printf "%s under %s\n" app.Buggy_app.name
+            (Config.label config);
+          print_string (Fleet.summary report);
+          match report.Fleet.faults with
+          | Some inj ->
+            Printf.printf "pool faults: %s\n" (Fault_injector.summary inj)
           | None -> ()
-          | Some out ->
-            let s =
-              Trace_export.fleet_spans_to_string ~domains
-                report.Fleet.trace_spans
-            in
-            (match out with
-            | "-" -> print_endline s
-            | file ->
-              Out_channel.with_open_text file (fun oc ->
-                  output_string oc s;
-                  output_char oc '\n');
-              (* stderr: stdout may be carrying --json or --live=- *)
-              Printf.eprintf "fleet trace written to %s\n" file));
-          if json then
-            print_endline
-              (Obs_json.to_string
-                 (Fleet.to_json ~app:app.Buggy_app.name
-                    ~config:(Config.label config) report))
-          else if live <> Some "-" then begin
-            Printf.printf "%s under %s\n" app.Buggy_app.name
-              (Config.label config);
-            print_string (Fleet.summary report);
-            match report.Fleet.faults with
-            | Some inj ->
-              Printf.printf "pool faults: %s\n" (Fault_injector.summary inj)
-            | None -> ()
-          end)
+        end)
   in
   Cmd.v
     (Cmd.info "fleet"
@@ -640,8 +588,7 @@ let fleet_cmd =
     Term.(const run $ app_arg $ engine_arg $ users_arg $ domains_arg
           $ epoch_arg $ benign_frac_arg $ burst_arg $ wave_period_arg
           $ seed_arg $ policy_arg $ no_evidence_arg $ store_arg $ faults_arg
-          $ respond_arg $ json_arg $ live_arg $ no_sharded_arg
-          $ fleet_trace_arg)
+          $ respond_arg $ json_arg $ live_arg $ fleet_trace_arg)
 
 (* ---- serve: long-running service loop over the fleet ---- *)
 
@@ -649,10 +596,6 @@ let no_color_arg =
   Arg.(value & flag & info [ "no-color" ] ~doc:"Disable ANSI colors.")
 
 let serve_cmd =
-  let app_arg =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"APP" ~doc:"Application name.")
-  in
   let users_arg =
     Arg.(value & opt int 100_000
          & info [ "users" ] ~docv:"N"
@@ -697,9 +640,9 @@ let serve_cmd =
     Arg.(value & opt (some string) None
          & info [ "alerts" ] ~docv:"SPEC"
              ~doc:"Alert rules, comma-separated: \
-                   $(i,name)[>$(i,LIMIT)|<$(i,LIMIT)][\\@$(i,WINDOW)] with \
+                   $(i,name)[>$(i,LIMIT)|<$(i,LIMIT)][@$(i,WINDOW)] with \
                    names stall, degraded, skew, faults, cdf, patch — e.g. \
-                   $(b,stall\\@50,degraded>0.1\\@10).  Default \
+                   $(b,stall@50,degraded>0.1@10).  Default \
                    $(b,stall,degraded,skew).")
   in
   let alerts_file_arg =
@@ -764,104 +707,99 @@ let serve_cmd =
     then None
     else Some ints
   in
-  let run name engine users domains epoch epochs benign_frac burst wave_period
+  let run app engine users domains epoch epochs benign_frac burst wave_period
       seed policy no_evidence faults respond alerts alerts_file windows
       history rotate status_file status_every checkpoint checkpoint_every live
       no_color =
-    apply_engine engine;
-    match Buggy_app.by_name name with
-    | None ->
-      Printf.eprintf "unknown application %S\n" name;
-      exit 1
-    | Some app ->
-      let rules_spec =
-        String.concat "\n"
-          (Option.to_list alerts
-          @ (match alerts_file with
-            | Some f -> [ In_channel.with_open_text f In_channel.input_all ]
-            | None -> []))
-      in
-      let rules =
-        if rules_spec = "" then Alert.defaults
-        else
-          match Alert.parse rules_spec with
-          | Ok [] -> Alert.defaults
-          | Ok rules -> rules
-          | Error m ->
-            Printf.eprintf "%s\n" m;
-            exit 1
-      in
-      let windows =
-        match parse_windows windows with
-        | Some ws -> ws
-        | None ->
-          Printf.eprintf "bad --windows %S (comma-separated sizes >= 1)\n"
-            windows;
+    let rules_spec =
+      String.concat "\n"
+        (Option.to_list alerts
+        @ (match alerts_file with
+          | Some f -> [ In_channel.with_open_text f In_channel.input_all ]
+          | None -> []))
+    in
+    let rules =
+      if rules_spec = "" then Alert.defaults
+      else
+        match Alert.parse rules_spec with
+        | Ok [] -> Alert.defaults
+        | Ok rules -> rules
+        | Error m ->
+          Printf.eprintf "%s\n" m;
           exit 1
-      in
-      let config = config_of ~tool:`Csod ~policy ~no_evidence in
-      let workload =
-        Workload.make ~benign_frac ~base_seed:seed ~burst ~wave_period ~users
-          ()
-      in
-      let cfg =
-        Serve.config ~domains ~epoch_size:epoch ?faults
-          ?patch_threshold:
-            (match respond with Respond.Patch n -> Some n | _ -> None)
-          ~rules ~windows ?history_dir:history ~rotate
-          ?status_path:status_file ~status_every ?checkpoint_path:checkpoint
-          ~checkpoint_every workload
-      in
-      (match
-         Serve.start cfg
-           ~execute:(Execution.executor ~app ~config ~respond ?faults ())
-       with
-      | Error m ->
-        Printf.eprintf "serve: %s\n" m;
+    in
+    let windows =
+      match parse_windows windows with
+      | Some ws -> ws
+      | None ->
+        Printf.eprintf "bad --windows %S (comma-separated sizes >= 1)\n"
+          windows;
         exit 1
-      | Ok t ->
-        let color = (not no_color) && Unix.isatty Unix.stdout in
-        let resumed_at = Serve.epoch t in
-        if resumed_at > 0 then
-          Printf.printf "resumed from %s at epoch %d\n"
-            (Option.value checkpoint ~default:"checkpoint") resumed_at;
-        let fired = ref 0 and cleared = ref 0 in
-        while Serve.epoch t < epochs do
-          let o = Serve.step t in
-          List.iter
-            (fun (ev : Alert.event) ->
-              if ev.Alert.firing then incr fired else incr cleared;
-              if not live then
-                Printf.printf "[alert] %s %s at epoch %d\n"
-                  (Alert.to_spec ev.Alert.rule)
-                  (if ev.Alert.firing then "FIRING" else "cleared")
-                  ev.Alert.epoch)
-            o.Serve.events;
-          if live then begin
-            if color then print_string "\x1b[2J\x1b[H";
-            (match Serve.render_status ~color (Serve.status_json t) with
-            | Some s -> print_string s
-            | None -> ());
-            flush stdout
-          end
-        done;
-        let report = Serve.finish t in
-        if not live then begin
-          match Serve.render_status ~color (Serve.status_json t) with
+    in
+    let config = config_of ~tool:`Csod ~policy ~no_evidence in
+    let workload =
+      Workload.make ~benign_frac ~base_seed:seed ~burst ~wave_period ~users
+        ()
+    in
+    let cfg =
+      Serve.config ~domains ~epoch_size:epoch ?faults
+        ?patch_threshold:
+          (match respond with Respond.Patch n -> Some n | _ -> None)
+        ~rules ~windows ?history_dir:history ~rotate
+        ?status_path:status_file ~status_every ?checkpoint_path:checkpoint
+        ~checkpoint_every workload
+    in
+    (match
+       Serve.start cfg
+         ~execute:
+           (Execution.executor ~app ~config ~engine ~respond ?faults ())
+     with
+    | Error m ->
+      Printf.eprintf "serve: %s\n" m;
+      exit 1
+    | Ok t ->
+      let color = (not no_color) && Unix.isatty Unix.stdout in
+      let resumed_at = Serve.epoch t in
+      if resumed_at > 0 then
+        Printf.printf "resumed from %s at epoch %d\n"
+          (Option.value checkpoint ~default:"checkpoint") resumed_at;
+      let fired = ref 0 and cleared = ref 0 in
+      while Serve.epoch t < epochs do
+        let o = Serve.step t in
+        List.iter
+          (fun (ev : Alert.event) ->
+            if ev.Alert.firing then incr fired else incr cleared;
+            if not live then
+              Printf.printf "[alert] %s %s at epoch %d\n"
+                (Alert.to_spec ev.Alert.rule)
+                (if ev.Alert.firing then "FIRING" else "cleared")
+                ev.Alert.epoch)
+          o.Serve.events;
+        if live then begin
+          if color then print_string "\x1b[2J\x1b[H";
+          (match Serve.render_status ~color (Serve.status_json t) with
           | Some s -> print_string s
-          | None -> ()
-        end;
-        Printf.printf
-          "served %d epochs: %d arrived, %d detections, %d alerts fired, %d \
-           cleared, %.3f s wall\n"
-          (Serve.epoch t - resumed_at)
-          (Serve.arrived t) (Serve.detections t) !fired !cleared
-          report.Fleet.wall_seconds;
-        (match report.Fleet.first_catch with
-        | Some s ->
-          Printf.printf "first catch: user #%d in epoch %d\n"
-            s.Fleet.user.Workload.uid s.Fleet.epoch
-        | None -> ()))
+          | None -> ());
+          flush stdout
+        end
+      done;
+      let report = Serve.finish t in
+      if not live then begin
+        match Serve.render_status ~color (Serve.status_json t) with
+        | Some s -> print_string s
+        | None -> ()
+      end;
+      Printf.printf
+        "served %d epochs: %d arrived, %d detections, %d alerts fired, %d \
+         cleared, %.3f s wall\n"
+        (Serve.epoch t - resumed_at)
+        (Serve.arrived t) (Serve.detections t) !fired !cleared
+        report.Fleet.wall_seconds;
+      (match report.Fleet.first_catch with
+      | Some s ->
+        Printf.printf "first catch: user #%d in epoch %d\n"
+          s.Fleet.user.Workload.uid s.Fleet.epoch
+      | None -> ()))
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1099,8 +1037,7 @@ let sim_cmd =
     Printf.printf "replay: %d records re-executed bit-identically\n"
       (List.length lines)
   in
-  let run engine alphabets seed runs ops no_shrink out replay =
-    apply_engine engine;
+  let run alphabets seed runs ops no_shrink out replay =
     match replay with
     | Some file -> replay_file file
     | None ->
@@ -1164,7 +1101,7 @@ let sim_cmd =
              runnable csod.sim.repro/1 record.  $(b,--replay FILE) \
              re-executes recorded counterexamples bit-identically (replay \
              hash over ops, arguments and per-step state digests).")
-    Term.(const run $ engine_arg $ alphabet_arg $ seed_arg $ sim_runs_arg
+    Term.(const run $ alphabet_arg $ seed_arg $ sim_runs_arg
           $ ops_arg $ no_shrink_arg $ out_arg $ replay_arg)
 
 (* ---- exec: user-supplied MiniC program ---- *)
@@ -1189,7 +1126,6 @@ let exec_cmd =
   let run file inputs module_name engine tool policy no_evidence seed
       store_file faults respond dump metrics profile metrics_json events
       snapshot_sec flight trace_out =
-    apply_engine engine;
     let source = In_channel.with_open_text file In_channel.input_all in
     match Program.load [ { Program.file; module_name; source } ] with
     | Error errs ->
@@ -1228,9 +1164,7 @@ let exec_cmd =
                 let crashed =
                   try
                     let r =
-                      Engine.run
-                        ~engine:(Engine.current_default ())
-                        ~machine ~tool:inst.Config.tool ~program
+                      Engine.run ~engine ~machine ~tool:inst.Config.tool ~program
                         ~inputs:(Array.of_list inputs) ~app_seed:seed ()
                     in
                     print_string r.Interp.output;

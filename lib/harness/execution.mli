@@ -41,11 +41,11 @@ val run :
   unit ->
   outcome
 (** Execute the app once on a fresh machine.  [engine] picks the MiniC
-    execution engine (default {!Engine.current_default}, i.e. the bytecode
-    VM unless the CLI overrode it); both engines are observably identical,
-    so the choice only affects host-time throughput.  [seed] (default 1) varies
-    both the machine RNG (CSOD's sampling draws) and the program-visible
-    [rand] (timing jitter), modeling distinct production executions.
+    execution engine (default [Engine.Vm], the bytecode VM); both engines
+    are observably identical, so the choice only affects host-time
+    throughput.  [seed] (default 1) varies both the machine RNG (CSOD's
+    sampling draws) and the program-visible [rand] (timing jitter),
+    modeling distinct production executions.
     [input] defaults to [Buggy].  [snapshot_cycles] (default 0 = off)
     enables periodic telemetry snapshots at that virtual-cycle interval.
     [faults] arms deterministic fault injection on the machine
@@ -69,9 +69,9 @@ val executor :
     [user.benign]), against the store snapshot the fleet hands over.  The
     returned closure is safe to call from pool domains — the app's
     program memo (and the VM's bytecode cache) is forced eagerly, and each
-    execution builds its own machine, heap and tool.  The engine is
-    resolved once, when the executor is built, so a fleet run is uniform
-    even if the process default changes mid-flight. *)
+    execution builds its own machine, heap and tool.  [engine] (default
+    [Engine.Vm]) is fixed when the executor is built, so every user of a
+    fleet runs on the same engine. *)
 
 val run_until_detected :
   app:Buggy_app.t -> config:Config.t -> max_runs:int -> (int * outcome) option

@@ -7,14 +7,6 @@ let of_string = function
   | "vm" -> Ok Vm
   | s -> Error (Printf.sprintf "unknown engine %S (expected interp|vm)" s)
 
-(* The process-wide default, set once by the CLI front-end before any
-   executions run.  The compiled VM is the default; the interpreter stays
-   available as the reference oracle. *)
-let default = ref Vm
-
-let set_default e = default := e
-let current_default () = !default
-
 let run ~engine ~machine ~tool ~program ?inputs ?app_seed ?step_limit () =
   match engine with
   | Interp -> Interp.run ~machine ~tool ~program ?inputs ?app_seed ?step_limit ()

@@ -13,14 +13,6 @@ type t = Interp | Vm
 val to_string : t -> string
 val of_string : string -> (t, string) result
 
-val set_default : t -> unit
-(** Set the process-wide default engine (used by [Execution.run] when no
-    explicit engine is passed).  The CLI threads [--engine] through
-    this. *)
-
-val current_default : unit -> t
-(** The current default; [Vm] unless overridden. *)
-
 val run :
   engine:t ->
   machine:Machine.t ->

@@ -13,12 +13,6 @@
    against the callee's statically computed [fi_max_stack], so the
    per-instruction stack operations are unchecked array accesses. *)
 
-let buggy_cycles = ref false
-(* Planted bug for the differential-testing net: when set, every taken
-   backward jump charges one extra virtual cycle, silently inflating the
-   cycle total of any program with a loop.  The sweep must catch it and
-   test/test_minic.ml pins a shrunk repro. *)
-
 type vframe = {
   callsite : int;    (* code address of the call expression *)
   vsp : int;         (* simulated stack pointer of this activation *)
@@ -33,7 +27,6 @@ type st = {
   inputs : int array;
   app_rng : Prng.t;
   buf : Buffer.t;
-  buggy : bool;      (* buggy_cycles snapshot, taken once per run *)
   mutable frames : vframe list; (* innermost first *)
   mutable steps : int;
   step_limit : int;
@@ -166,9 +159,7 @@ and dispatch st code i : int =
     Machine.set_pc st.m saddr;
     Machine.work st.m statement_cost;
     dispatch st code (i + 1)
-  | Compile.Jmp t ->
-    if st.buggy && t <= i then Machine.work st.m 1;
-    dispatch st code t
+  | Compile.Jmp t -> dispatch st code t
   | Compile.Jz t ->
     let sp = st.sp - 1 in
     st.sp <- sp;
@@ -540,7 +531,6 @@ let run ~machine ~tool ~program ?(inputs = [||]) ?(app_seed = 1)
       inputs;
       app_rng = Prng.create ~seed:app_seed;
       buf = Buffer.create 256;
-      buggy = !buggy_cycles;
       frames = [];
       steps = 0;
       step_limit;

@@ -6,12 +6,6 @@
     counts, and error messages (raised as {!Interp.Runtime_error}).  The
     compiled form is cached on the program via {!Compile.get}. *)
 
-val buggy_cycles : bool ref
-(** Planted bug for the differential-testing net: when true, every taken
-    backward jump charges one extra virtual cycle.  Exposed on the CLI as
-    [--engine vm-buggy-cycles]; the differential sweep must catch it and
-    [test/test_minic.ml] pins a shrunk repro.  Default false. *)
-
 val run :
   machine:Machine.t ->
   tool:Tool.t ->

@@ -20,7 +20,6 @@ type sample = {
   observer_seconds : float;
   execs_per_sec : float;
   straggler_skew : float;
-  telemetry : string;
   domains : domain_load list;
 }
 
@@ -57,7 +56,9 @@ let fields s =
     ("observer_seconds", `Float s.observer_seconds);
     ("execs_per_sec", `Float s.execs_per_sec);
     ("straggler_skew", `Float s.straggler_skew);
-    ("telemetry", `String s.telemetry);
+    (* The barrier always tree-reduces per-domain shards; readers of the
+       schema key on this tag, so it stays in every record. *)
+    ("telemetry", `String "sharded");
     ("domains", `List (List.map domain_json s.domains)) ]
 
 let to_json s : Obs_json.t =
@@ -88,11 +89,6 @@ let of_json json =
   let* observer_seconds = flt "observer_seconds" in
   let* execs_per_sec = flt "execs_per_sec" in
   let* straggler_skew = flt "straggler_skew" in
-  let* telemetry =
-    match Obs_json.member "telemetry" json with
-    | Some (`String s) -> Some s
-    | _ -> None
-  in
   let faults =
     match Obs_json.member "faults" json with
     | Some (`Assoc kvs) ->
@@ -121,7 +117,7 @@ let of_json json =
     { epoch; arrivals; detections; cumulative; users; cdf; store_contexts;
       patched; degraded; worker_crashes; faults; snapshots; epoch_seconds;
       merge_seconds; observer_seconds; execs_per_sec; straggler_skew;
-      telemetry; domains }
+      domains }
 
 (* ---- one-screen renderer ---- *)
 
@@ -178,10 +174,10 @@ let render ?(color = true) samples =
       (Printf.sprintf "cdf  %s\n" (sparkline tail));
     let skew_str = Printf.sprintf "%.2fx" last.straggler_skew in
     Buffer.add_string b
-      (Printf.sprintf "rate %.0f execs/s   skew %s   telemetry %s   snapshots %d\n"
+      (Printf.sprintf "rate %.0f execs/s   skew %s   snapshots %d\n"
          last.execs_per_sec
          (if last.straggler_skew > 1.5 then warn skew_str else skew_str)
-         last.telemetry last.snapshots);
+         last.snapshots);
     Buffer.add_string b
       (Printf.sprintf "cost epoch %s   merge %s   observer %s\n"
          (fmt_seconds last.epoch_seconds)

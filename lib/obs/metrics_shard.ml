@@ -3,8 +3,8 @@ type t = {
   profile : Profiler.t;
   (* gauge name -> (uid, level) of the highest-uid absorbed execution that
      defines the gauge.  Executions that never create a gauge leave no
-     entry, matching the legacy merge (which only overwrites a level when
-     the source registry defines the gauge). *)
+     entry, matching the uid-ordered fold (which only overwrites a level
+     when the source registry defines the gauge). *)
   gauge_src : (string, int * int) Hashtbl.t;
   mutable absorbed : int;
   mutable snapshots : int;

@@ -390,14 +390,36 @@ let test_map_local_stats () =
   Alcotest.(check int) "empty map: nothing executed" 0
     (snd solo.(0)).Pool.executed
 
-(* ---------- Sharded vs per-user telemetry aggregation ---------- *)
+(* ---------- Sharded telemetry vs the per-user fold ---------- *)
+
+(* The reference model of the fleet's telemetry aggregation: each seat's
+   registry and profile merged in uid order, into a registry that has
+   [fleet.worker_crashes] registered first, as [Fleet.start] does.  The
+   fleet's per-domain shard reduction must equal it exactly. *)
+let folded_telemetry (r : _ Fleet.report) =
+  let metrics = Metrics.create () in
+  ignore (Metrics.counter metrics "fleet.worker_crashes");
+  let profile = Profiler.create () in
+  Array.iter
+    (fun (s : _ Fleet.seat) ->
+      match s.Fleet.exec.Fleet.telemetry with
+      | Some tele ->
+        Metrics.merge_into ~dst:metrics ~src:(Telemetry.metrics tele);
+        Profiler.merge_into ~dst:profile ~src:(Telemetry.profiler tele)
+      | None -> ())
+    r.Fleet.seats;
+  (metrics, profile)
+
+(* Everything a registry and a profile hold: counters, gauges, histograms
+   with their bins, and per-phase cycles. *)
+let telemetry_view (metrics, profile) =
+  (Obs_json.to_string (Metrics.to_json metrics), Profiler.to_list profile)
 
 (* An executor with telemetry crafted to stress every merge rule: a
    commutative counter and histogram from every user, a gauge every user
    sets (last definer must win), and a gauge only every third user defines
-   (users without it must not vote).  The merged registry must come out
-   bit-identical whether it was aggregated through per-domain shards or
-   the legacy per-user fold, for any domain count. *)
+   (users without it must not vote).  The merged registry must equal the
+   per-user fold for any domain count. *)
 let telemetric ~user ~store:_ =
   let uid = user.Workload.uid in
   let tele = Telemetry.create () in
@@ -416,63 +438,60 @@ let telemetric ~user ~store:_ =
 
 let test_sharded_equivalence_synthetic () =
   let w = Workload.make ~users:100 () in
-  let aggregate ~sharded domains =
-    let r =
-      Fleet.run
-        (Fleet.config ~domains ~epoch_size:16 ~sharded w)
-        ~execute:telemetric
-    in
-    ( Metrics.counters_list r.Fleet.metrics,
-      Metrics.gauges_list r.Fleet.metrics,
-      Profiler.to_list r.Fleet.profile )
+  let run domains =
+    Fleet.run (Fleet.config ~domains ~epoch_size:16 w) ~execute:telemetric
   in
-  let reference = aggregate ~sharded:false 1 in
-  let _, gauges, _ = reference in
-  (* The legacy fold's own invariant first: the last definer (highest uid)
-     wins each gauge, users that never define one don't vote. *)
+  let model = folded_telemetry (run 1) in
+  let gauges = Metrics.gauges_list (fst model) in
+  (* The model's own invariant first: the last definer (highest uid) wins
+     each gauge, users that never define one don't vote. *)
   Alcotest.(check bool) "g.all: uid 100 wins" true
     (List.exists (fun (n, level, high) -> n = "g.all" && level = 100 && high = 100) gauges);
   Alcotest.(check bool) "g.third: uid 99 wins" true
     (List.exists (fun (n, level, high) -> n = "g.third" && level = 990 && high = 990) gauges);
   List.iter
     (fun domains ->
+      let r = run domains in
       Alcotest.(check bool)
-        (Printf.sprintf "legacy, %d domains" domains)
+        (Printf.sprintf "sharded = fold, %d domains" domains)
         true
-        (aggregate ~sharded:false domains = reference);
-      Alcotest.(check bool)
-        (Printf.sprintf "sharded, %d domains" domains)
-        true
-        (aggregate ~sharded:true domains = reference))
+        (telemetry_view (r.Fleet.metrics, r.Fleet.profile)
+        = telemetry_view model))
     [ 1; 2; 4 ]
 
-(* Same equivalence over real CSOD executions: the full fingerprint of a
-   sharded fleet matches the legacy aggregation, domains 1/2/4. *)
+(* Same equivalence over real CSOD executions: at domains 1/2/4 the fleet
+   reproduces the 1-domain run's detections, epochs and store, and its
+   merged telemetry equals the per-user fold of that run. *)
 let test_sharded_equivalence_real () =
   let app = zziplib () in
   let config = Config.csod_default in
-  let w = Workload.make ~benign_frac:0.25 ~users:300 () in
-  let fingerprint ~sharded domains =
-    let r =
-      Fleet.run
-        (Fleet.config ~domains ~epoch_size:32 ~sharded w)
-        ~execute:(Execution.executor ~app ~config ())
-    in
-    ( Fleet.detection_uids r,
-      r.Fleet.epochs,
-      Persist.keys r.Fleet.store,
-      Metrics.counters_list r.Fleet.metrics,
-      Metrics.gauges_list r.Fleet.metrics,
-      Profiler.to_list r.Fleet.profile )
-  in
-  let reference = fingerprint ~sharded:false 1 in
   List.iter
-    (fun domains ->
-      Alcotest.(check bool)
-        (Printf.sprintf "sharded = legacy at %d domains" domains)
-        true
-        (fingerprint ~sharded:true domains = reference))
-    [ 1; 2; 4 ]
+    (fun (label, w) ->
+      let run domains =
+        Fleet.run
+          (Fleet.config ~domains ~epoch_size:32 w)
+          ~execute:(Execution.executor ~app ~config ())
+      in
+      let fingerprint r telemetry =
+        ( Fleet.detection_uids r,
+          r.Fleet.epochs,
+          Persist.keys r.Fleet.store,
+          telemetry_view telemetry )
+      in
+      let r1 = run 1 in
+      let reference = fingerprint r1 (folded_telemetry r1) in
+      List.iter
+        (fun domains ->
+          let r = run domains in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: sharded = fold at %d domains" label domains)
+            true
+            (fingerprint r (r.Fleet.metrics, r.Fleet.profile) = reference))
+        [ 1; 2; 4 ])
+    [ ("quarter benign", Workload.make ~benign_frac:0.25 ~users:300 ());
+      (* The CLI's default fleet workload: csod_run fleet zziplib
+         --users 300 *)
+      ("default workload", Workload.make ~users:300 ()) ]
 
 (* ---------- Health stream ---------- *)
 
@@ -500,7 +519,9 @@ let test_health_per_epoch () =
       Alcotest.(check bool) "executed covers arrivals" true
         (List.fold_left (fun n d -> n + d.Health.executed) 0 s.Health.domains
         = s.Health.arrivals);
-      Alcotest.(check string) "mode tagged" "sharded" s.Health.telemetry)
+      Alcotest.(check bool) "mode tagged" true
+        (List.assoc_opt "telemetry" (Health.fields s)
+        = Some (`String "sharded")))
     r.Fleet.health;
   (* Health rows agree with the epoch rows the report already pins. *)
   Alcotest.(check (list int)) "arrivals agree with epoch rows"

@@ -482,12 +482,13 @@ let suite =
 
 (* ---------- Bytecode VM ---------- *)
 
-let run_engine ?(inputs = [||]) engine src =
+let run_engine ?(inputs = [||]) ?(prepare = ignore) engine src =
   let machine = Machine.create ~seed:1 () in
   let heap = Heap.create machine in
   let program =
     Program.load_exn [ { Program.file = "t.mc"; module_name = "t"; source = src } ]
   in
+  prepare program;
   let r = Engine.run ~engine ~machine ~tool:(Tool.baseline heap) ~program ~inputs () in
   (r, Clock.cycles (Machine.clock machine))
 
@@ -553,10 +554,10 @@ let test_vm_runtime_errors () =
       "fn main() { return rand(0); }";
       "fn main() { var p = 0 - 5; return p[0]; }" ]
 
-(* Pinned repro for the planted vm-buggy-cycles bug, shrunk from the
-   differential sweep's catch in test_prop.ml: one extra virtual cycle is
-   charged per taken backward jump, so a 3-iteration while loop runs 3
-   cycles hot on the buggy VM while agreeing everywhere else. *)
+(* Pinned repro for the planted cycle bug ({!Planted.vm_cycle_bug}), shrunk
+   from the differential sweep's catch in test_prop.ml: one extra virtual
+   cycle is charged per taken backward jump, so a 3-iteration while loop
+   runs 3 cycles hot on the buggy VM while agreeing everywhere else. *)
 let test_vm_buggy_cycles_repro () =
   let src = "fn main() { var i = 0; while (i < 3) { i = i + 1; } return i; }" in
   let ri, ci = run_engine Engine.Interp src in
@@ -564,14 +565,10 @@ let test_vm_buggy_cycles_repro () =
   Alcotest.(check int) "clean vm agrees on cycles" ci cv;
   Alcotest.(check int) "clean vm agrees on return" ri.Interp.return_value
     rv.Interp.return_value;
-  Fun.protect
-    ~finally:(fun () -> Vm.buggy_cycles := false)
-    (fun () ->
-      Vm.buggy_cycles := true;
-      let rb, cb = run_engine Engine.Vm src in
-      Alcotest.(check int) "buggy vm still computes the right answer"
-        ri.Interp.return_value rb.Interp.return_value;
-      Alcotest.(check int) "one extra cycle per taken backward jump" (ci + 3) cb)
+  let rb, cb = run_engine ~prepare:Planted.vm_cycle_bug Engine.Vm src in
+  Alcotest.(check int) "buggy vm still computes the right answer"
+    ri.Interp.return_value rb.Interp.return_value;
+  Alcotest.(check int) "one extra cycle per taken backward jump" (ci + 3) cb
 
 let suite =
   suite

@@ -781,7 +781,7 @@ let health_sample : Health.sample =
     faults = [ ("runtime.degraded", 1); ("trap.dropped", 5) ];
     snapshots = 12; epoch_seconds = 0.125; merge_seconds = 0.003;
     observer_seconds = 0.0005; execs_per_sec = 256.0;
-    straggler_skew = 1.75; telemetry = "sharded";
+    straggler_skew = 1.75;
     domains =
       [ { Health.slot = 0; executed = 17; busy_seconds = 0.061 };
         { Health.slot = 1; executed = 15; busy_seconds = 0.059 } ] }
@@ -872,7 +872,7 @@ let test_health_zero_executed () =
       users = 1000; cdf = 0.019; store_contexts = 2; patched = 1; degraded = 1;
       worker_crashes = 2; faults = []; snapshots = 12;
       epoch_seconds = 0.0001; merge_seconds = 0.0; observer_seconds = 0.0;
-      execs_per_sec = 0.0; straggler_skew = 1.0; telemetry = "sharded";
+      execs_per_sec = 0.0; straggler_skew = 1.0;
       domains =
         [ { Health.slot = 0; executed = 0; busy_seconds = 0.0 };
           { Health.slot = 1; executed = 0; busy_seconds = 0.0 } ] }

@@ -390,12 +390,12 @@ let diff_sweep_engines () =
     Alcotest.failf "generator yield too low: %d/80 programs passed Sema (%d rejected)"
       !compared !rejected
 
-(* The same sweep must catch the planted vm-buggy-cycles bug (one extra
-   cycle per taken backward jump): proof the net is tight enough to see a
-   single-cycle divergence.  test_minic.ml pins the shrunk repro. *)
+(* The same sweep must catch the planted cycle bug ({!Planted.vm_cycle_bug}:
+   one extra cycle per taken backward jump): proof the net is tight enough
+   to see a single-cycle divergence.  Each program is first run on the
+   clean VM, which must agree, so the catch is the plant's alone.
+   test_minic.ml pins the shrunk repro. *)
 let diff_sweep_catches_planted_bug () =
-  Vm.buggy_cycles := true;
-  Fun.protect ~finally:(fun () -> Vm.buggy_cycles := false) @@ fun () ->
   let caught = ref false in
   (try
      for seed = 9000 to 9029 do
@@ -404,11 +404,14 @@ let diff_sweep_catches_planted_bug () =
        | Error _ -> ()
        | Ok program ->
          let inputs = gen_inputs ~seed in
-         let a =
-           d_observe Engine.Interp program ~inputs ~seed ~step_limit:50_000
+         let observe engine =
+           d_observe engine program ~inputs ~seed ~step_limit:50_000
          in
-         let b = d_observe Engine.Vm program ~inputs ~seed ~step_limit:50_000 in
-         if a <> b then begin
+         let a = observe Engine.Interp in
+         if observe Engine.Vm <> a then
+           Alcotest.failf "clean vm diverges (repro seed=%d)" seed;
+         Planted.vm_cycle_bug program;
+         if observe Engine.Vm <> a then begin
            caught := true;
            raise Exit
          end
@@ -416,7 +419,7 @@ let diff_sweep_catches_planted_bug () =
    with Exit -> ());
   if not !caught then
     Alcotest.fail
-      "differential sweep failed to catch the planted vm-buggy-cycles bug"
+      "differential sweep failed to catch the planted cycle bug"
 
 let suite =
   [ Alcotest.test_case "sim sweep: heap + sparse memory" `Quick prop_heap;
