@@ -1,4 +1,4 @@
-type t = { callsite : int; stack_offset : int; backtrace : unit -> int list }
+type t = { callsite : int; stack_offset : int; backtrace : unit -> int array }
 
 type key = int * int
 
@@ -11,4 +11,4 @@ let hash_key (a, b) =
   h land max_int
 
 let synthetic ?(stack_offset = 0) ~callsite () =
-  { callsite; stack_offset; backtrace = (fun () -> [ callsite ]) }
+  { callsite; stack_offset; backtrace = (fun () -> [| callsite |]) }

@@ -18,9 +18,13 @@ type t = {
           identical call sites reached through different call chains differ
           here (different frames are live), which is why the paper's pair is
           almost always unique per context. *)
-  backtrace : unit -> int list;
-      (** Full calling context, innermost first.  Expensive; tools call it
-          once per new context and for failure reports. *)
+  backtrace : unit -> int array;
+      (** Full calling context, innermost first, as a fresh array the
+          caller may keep.  Expensive; tools call it once per new context.
+          It walks the stack that is live when it is called, so it is only
+          meaningful during the tool call that received the handle: an
+          engine shares one walker between all its handles instead of
+          allocating one per allocation. *)
 }
 
 type key = int * int

@@ -4,15 +4,15 @@ exception Error of string
 
 type obj = {
   req_size : int;        (* size the caller asked for *)
-  block : int;           (* bytes reserved *)
+  block : int;           (* bytes reserved; its size class is
+                            [Size_class.class_index block] *)
   base : int;            (* base of the underlying block (differs from the
                             object address for memalign interior pointers) *)
-  cls : Size_class.t;
 }
 
 type t = {
   m : Machine.t;
-  small_free : int list array;           (* per-class free lists *)
+  small : int array array;               (* per-class state, see below *)
   large_free : (int, int list) Hashtbl.t; (* block size -> free addrs *)
   objects : (int, obj) Hashtbl.t;        (* live objects by address *)
   c_mallocs : Metrics.counter;
@@ -31,7 +31,7 @@ type t = {
 let create m =
   let reg = Machine.registry m in
   { m;
-    small_free = Array.make Size_class.num_small_classes [];
+    small = Array.make Size_class.num_small_classes [||];
     large_free = Hashtbl.create 32;
     objects = Hashtbl.create 4096;
     c_mallocs = Metrics.counter reg "heap.mallocs";
@@ -52,48 +52,87 @@ let machine t = t.m
    of one class are adjacent, as in a real segregated heap. *)
 let chunk_bytes = 16384
 
-let refill_small t idx block =
-  let n = max 1 (chunk_bytes / block) in
-  let start = Machine.sbrk t.m (n * block) in
-  t.carved <- t.carved + (n * block);
-  let rec push i acc = if i < 0 then acc else push (i - 1) (start + (i * block) :: acc) in
-  t.small_free.(idx) <- push (n - 1) [] @ t.small_free.(idx)
+(* A small class's state is one int array, made on the class's first
+   use: [| freed; next; limit; f_1; ...; f_freed |].  Freed blocks sit on
+   the int stack [f_1..f_freed] (top last), and [next, limit) is what is
+   left of the class's latest chunk.  A block is taken from the stack
+   first, then from the chunk in address order, and a new chunk is carved
+   only when both are empty: the order of one LIFO free list holding the
+   freed blocks in front of the chunk's untouched ones, with nothing
+   allocated per free and no per-block cell per chunk. *)
+let freed = 0
+let next = 1
+let limit = 2
+let header = 3
 
-let take_block t cls =
-  match Size_class.class_index cls with
-  | Some idx ->
-    (match t.small_free.(idx) with
-     | addr :: rest ->
-       t.small_free.(idx) <- rest;
-       addr
-     | [] ->
-       refill_small t idx (Size_class.block_size cls);
-       (match t.small_free.(idx) with
-        | addr :: rest ->
-          t.small_free.(idx) <- rest;
-          addr
-        | [] -> assert false))
-  | None ->
-    let block = Size_class.block_size cls in
-    (match Hashtbl.find_opt t.large_free block with
-     | Some (addr :: rest) ->
-       Hashtbl.replace t.large_free block rest;
-       addr
-     | Some [] | None ->
-       t.carved <- t.carved + block;
-       Machine.sbrk t.m block)
+let class_state t idx =
+  let st = t.small.(idx) in
+  if Array.length st > 0 then st
+  else begin
+    let st = Array.make 16 0 in
+    t.small.(idx) <- st;
+    st
+  end
 
-let return_block t cls base =
-  match Size_class.class_index cls with
-  | Some idx -> t.small_free.(idx) <- base :: t.small_free.(idx)
-  | None ->
-    let block = Size_class.block_size cls in
-    let prev = Option.value ~default:[] (Hashtbl.find_opt t.large_free block) in
+let take_small t idx block =
+  let st = class_state t idx in
+  let n = st.(freed) in
+  if n > 0 then begin
+    st.(freed) <- n - 1;
+    st.(header + n - 1)
+  end
+  else begin
+    if st.(next) >= st.(limit) then begin
+      let bytes = max 1 (chunk_bytes / block) * block in
+      let start = Machine.sbrk t.m bytes in
+      t.carved <- t.carved + bytes;
+      st.(next) <- start;
+      st.(limit) <- start + bytes
+    end;
+    let addr = st.(next) in
+    st.(next) <- addr + block;
+    addr
+  end
+
+let return_small t idx addr =
+  let st = class_state t idx in
+  let n = st.(freed) in
+  let st =
+    if header + n < Array.length st then st
+    else begin
+      let grown = Array.make (2 * Array.length st) 0 in
+      Array.blit st 0 grown 0 (Array.length st);
+      t.small.(idx) <- grown;
+      grown
+    end
+  in
+  st.(header + n) <- addr;
+  st.(freed) <- n + 1
+
+(* Block bookkeeping works on plain ints (block size, class index) and
+   exception-signalled misses, so the malloc/free pair allocates only the
+   live-object record and its table binding. *)
+let take_block t block =
+  let idx = Size_class.class_index block in
+  if idx >= 0 then take_small t idx block
+  else
+    match Hashtbl.find t.large_free block with
+    | addr :: rest ->
+      Hashtbl.replace t.large_free block rest;
+      addr
+    | [] | (exception Not_found) ->
+      t.carved <- t.carved + block;
+      Machine.sbrk t.m block
+
+let return_block t block base =
+  let idx = Size_class.class_index block in
+  if idx >= 0 then return_small t idx base
+  else
+    let prev = try Hashtbl.find t.large_free block with Not_found -> [] in
     Hashtbl.replace t.large_free block (base :: prev)
 
-let register t ~addr ~base ~req_size ~cls =
-  let block = Size_class.block_size cls in
-  Hashtbl.replace t.objects addr { req_size; block; base; cls };
+let register t ~addr ~base ~req_size ~block =
+  Hashtbl.replace t.objects addr { req_size; block; base };
   t.allocs <- t.allocs + 1;
   Metrics.incr t.c_mallocs;
   Metrics.observe t.h_alloc_bytes req_size;
@@ -107,25 +146,25 @@ let register t ~addr ~base ~req_size ~cls =
 let malloc t size =
   if size < 0 then raise (Error "malloc: negative size");
   Machine.work_as t.m Profiler.Alloc_fast Cost.malloc_base;
-  let cls = Size_class.classify size in
-  let addr = take_block t cls in
-  register t ~addr ~base:addr ~req_size:size ~cls;
+  let block = Size_class.block_size size in
+  let addr = take_block t block in
+  register t ~addr ~base:addr ~req_size:size ~block;
   addr
 
 let free t addr =
   Machine.work_as t.m Profiler.Alloc_fast Cost.malloc_base;
-  match Hashtbl.find_opt t.objects addr with
-  | None ->
+  match Hashtbl.find t.objects addr with
+  | exception Not_found ->
     if addr = 0 then () (* free(NULL) is a no-op *)
     else raise (Error (Printf.sprintf "free: invalid or already-freed pointer 0x%x" addr))
-  | Some obj ->
+  | obj ->
     Hashtbl.remove t.objects addr;
     t.frees <- t.frees + 1;
     Metrics.incr t.c_frees;
     t.live_bytes <- t.live_bytes - obj.req_size;
     Metrics.set t.g_live_bytes t.live_bytes;
     t.live_block_bytes <- t.live_block_bytes - obj.block;
-    return_block t obj.cls obj.base
+    return_block t obj.block obj.base
 
 let calloc t ~count ~size =
   if count < 0 || size < 0 then raise (Error "calloc: negative argument");
@@ -170,10 +209,10 @@ let memalign t ~alignment ~size =
   if alignment <= Size_class.align then malloc t size
   else begin
     Machine.work_as t.m Profiler.Alloc_fast Cost.malloc_base;
-    let cls = Size_class.classify (size + alignment) in
-    let base = take_block t cls in
+    let block = Size_class.block_size (size + alignment) in
+    let base = take_block t block in
     let addr = (base + alignment - 1) / alignment * alignment in
-    register t ~addr ~base ~req_size:size ~cls;
+    register t ~addr ~base ~req_size:size ~block;
     addr
   end
 

@@ -2,18 +2,11 @@ let min_class = 16
 let max_class = 4096
 let align = 16
 
-type t = Small of int | Large of int
-
-let classify size =
-  if size < 0 then invalid_arg "Size_class.classify: negative size";
+let block_size size =
+  if size < 0 then invalid_arg "Size_class.block_size: negative size";
   let size = if size = 0 then 1 else size in
-  let rounded = (size + align - 1) / align * align in
-  if size <= max_class then Small rounded else Large rounded
+  (size + align - 1) / align * align
 
-let block_size = function Small n -> n | Large n -> n
-
-let class_index = function
-  | Small n -> Some ((n / align) - 1)
-  | Large _ -> None
+let class_index block = if block <= max_class then (block / align) - 1 else -1
 
 let num_small_classes = max_class / align

@@ -18,18 +18,15 @@ val max_class : int
 val align : int
 (** Allocation granule, 16 bytes. *)
 
-type t =
-  | Small of int  (** 16-byte-stepped block size in [\[min_class, max_class\]] *)
-  | Large of int  (** 16-byte-rounded byte size above [max_class] *)
+val block_size : int -> int
+(** [block_size size] is the number of bytes reserved for a request of
+    [size] bytes ([size >= 0]; a request of 0 is treated as 1, matching
+    malloc): the request rounded up to the 16-byte granule.  Blocks of at
+    most {!max_class} bytes are small classes; larger ones are "large".
+    Plain ints throughout, so classifying a request allocates nothing. *)
 
-val classify : int -> t
-(** [classify size] for a request of [size] bytes ([size >= 0]; a request of
-    0 is treated as 1, matching malloc). *)
-
-val block_size : t -> int
-(** Bytes actually reserved for an object of this class. *)
-
-val class_index : t -> int option
-(** Index of a [Small] class in the per-class table; [None] for [Large]. *)
+val class_index : int -> int
+(** [class_index block] is the index of a small class's block size in
+    the per-class table, or [-1] for a large block. *)
 
 val num_small_classes : int

@@ -47,6 +47,19 @@ val plant : Machine.t -> base:int -> size:int -> ctx_id:int -> canary:int64 -> i
 val check : Machine.t -> app:int -> size:int -> expected:int64 -> bool
 (** Is the canary intact?  Charges {!Cost.canary_check}. *)
 
-val read_header : Machine.t -> app:int -> (int * int * int) option
-(** [(real_base, size, ctx_id)] if the identifier matches, [None] for a
-    foreign or corrupted header. *)
+val managed : Machine.t -> app:int -> bool
+(** Does [app] carry a CSOD header?  False for a foreign or corrupted
+    header (identifier mismatch) and for one that would start below
+    address 0. *)
+
+val real_base : Machine.t -> app:int -> int
+(** The header's RealObjectPtr: the raw heap block to free. *)
+
+val object_size : Machine.t -> app:int -> int
+(** The header's ObjectSize: locates the canary. *)
+
+val context_id : Machine.t -> app:int -> int
+(** The header's CallingContextPtr: the allocation context's id.
+
+    The three field readers are meaningful only where {!managed} holds;
+    none of the four allocates. *)

@@ -9,7 +9,7 @@ type entry = {
   mutable burst_until : float;
   mutable floor_since : float;
   mutable pinned : bool;
-  mutable full_ctx : int list;
+  full_ctx : int array;
 }
 
 type t = {
@@ -25,14 +25,28 @@ type t = {
   mutable next_id : int;
   mutable allocations : int;
   mutable watches : int;
-  (* One-entry memo of the last context looked up: allocation sites repeat
-     in tight runs (loops allocating from one call site), so most lookups
-     hit the same entry as their predecessor and skip both the key tuple
-     allocation and the table probe.  Entries are never removed from the
-     table, so the memo can never go stale. *)
-  mutable memo : entry option;
+  (* Direct-mapped memo in front of the table, indexed by a mix of the two
+     key ints: a lookup that hits compares two ints and allocates nothing,
+     where a table probe allocates a key tuple, the default thunk and an
+     option.  Allocation sites repeat in tight runs and small cycles (a loop
+     allocating from one site; Heartbleed's buffer helper rotating through
+     six contexts), so most lookups hit.  Entries are never removed
+     from the table, so a slot can never go stale. *)
+  memo : entry array;
   mutable memo_on : bool;
 }
+
+let memo_slots = 64 (* a power of two *)
+
+(* Fills empty memo slots; its key is no real context's. *)
+let vacant =
+  { id = -1; key = (min_int, min_int); prob = 0.0; allocs = 0; watches = 0;
+    window_start = 0.0; window_count = 0; burst_until = 0.0;
+    floor_since = 0.0; pinned = false; full_ctx = [||] }
+
+let[@inline] memo_slot site off =
+  let h = (site * 0x9E3779B1) lxor (off * 0x85EBCA77) in
+  (h lxor (h lsr 16)) land (memo_slots - 1)
 
 let create ~params ~machine ~rng =
   let reg = Machine.registry machine in
@@ -49,12 +63,12 @@ let create ~params ~machine ~rng =
     next_id = 0;
     allocations = 0;
     watches = 0;
-    memo = None;
+    memo = Array.make memo_slots vacant;
     memo_on = true }
 
 let set_memo t on =
   t.memo_on <- on;
-  if not on then t.memo <- None
+  if not on then Array.fill t.memo 0 memo_slots vacant
 
 let now t = Clock.seconds (Machine.clock t.machine)
 let cycles t = Clock.cycles (Machine.clock t.machine)
@@ -91,23 +105,28 @@ let fresh_entry t (ctx : Alloc_ctx.t) =
     pinned = false;
     full_ctx = full }
 
-let on_allocation t ctx =
+let lookup t (ctx : Alloc_ctx.t) =
+  Chained_table.find_or_add t.table (Alloc_ctx.key ctx) ~default:(fun () ->
+      let e = fresh_entry t ctx in
+      Hashtbl.replace t.by_id e.id e;
+      e)
+
+let on_allocation t (ctx : Alloc_ctx.t) =
   Machine.work_as t.machine Profiler.Smu_lookup Cost.context_lookup;
   let e =
-    match t.memo with
-    | Some e
-      when (let kc, ko = e.key in
-            kc = ctx.Alloc_ctx.callsite && ko = ctx.Alloc_ctx.stack_offset) ->
-      e
-    | _ ->
-      let e =
-        Chained_table.find_or_add t.table (Alloc_ctx.key ctx) ~default:(fun () ->
-            let e = fresh_entry t ctx in
-            Hashtbl.replace t.by_id e.id e;
-            e)
-      in
-      if t.memo_on then t.memo <- Some e;
-      e
+    if t.memo_on then begin
+      let site = ctx.Alloc_ctx.callsite and off = ctx.Alloc_ctx.stack_offset in
+      let slot = memo_slot site off in
+      let m = Array.unsafe_get t.memo slot in
+      let msite, moff = m.key in
+      if msite = site && moff = off then m
+      else begin
+        let e = lookup t ctx in
+        Array.unsafe_set t.memo slot e;
+        e
+      end
+    end
+    else lookup t ctx
   in
   if e.allocs = 0 then Metrics.set t.g_contexts (Chained_table.length t.table);
   t.allocations <- t.allocations + 1;
@@ -187,4 +206,4 @@ let iter f t = Chained_table.iter (fun _ e -> f e) t.table
 
 let memory_bytes t =
   Chained_table.memory_bytes t.table
-  + Chained_table.fold (fun _ e acc -> acc + (10 * 8) + (8 * List.length e.full_ctx)) t.table 0
+  + Chained_table.fold (fun _ e acc -> acc + (10 * 8) + (8 * Array.length e.full_ctx)) t.table 0

@@ -28,7 +28,12 @@ type entry = {
   mutable burst_until : float;   (** end of an active throttle, or 0. *)
   mutable floor_since : float;   (** when the probability first hit the floor *)
   mutable pinned : bool;         (** evidence-pinned at 100% *)
-  mutable full_ctx : int list;   (** full backtrace, captured on first sight *)
+  full_ctx : int array;
+      (** Full backtrace, innermost first, captured once on first sight.
+          Kept as an array — one block per context, not a cons cell per
+          frame — since a deep recursion makes one context per depth.  The
+          one copy of the allocation context: reports convert it to a list
+          when they are built. *)
 }
 
 type t
@@ -37,10 +42,10 @@ val create : params:Params.t -> machine:Machine.t -> rng:Prng.t -> t
 (** [rng] drives the reviving coin flips. *)
 
 val set_memo : t -> bool -> unit
-(** [set_memo t false] disables the one-entry lookup memo, reverting every
-    allocation to the pre-optimization table probe.  Used by the throughput
-    bench to measure the baseline in the same run; detection behaviour is
-    identical either way. *)
+(** [set_memo t false] disables the direct-mapped lookup memo, reverting
+    every allocation to the table probe.  Used by the throughput bench to
+    measure the baseline in the same run; detection behaviour is identical
+    either way. *)
 
 val on_allocation : t -> Alloc_ctx.t -> entry
 (** The per-allocation hot path: look up (or create, capturing the full

@@ -95,7 +95,8 @@ let handle_trap t (info : Machine.trap_info) =
         { Report.kind;
           source = Report.Watchpoint;
           access_backtrace = access_bt;
-          alloc_backtrace = wp.Watch_table.alloc_backtrace;
+          alloc_backtrace =
+            Array.to_list wp.Watch_table.entry.Context_table.full_ctx;
           ctx_key = wp.Watch_table.entry.Context_table.key;
           object_addr = wp.Watch_table.obj_addr;
           watch_addr = wp.Watch_table.watch_addr;
@@ -123,9 +124,7 @@ let create ?(params = Params.default) ?store ?respond ?(seed = 0) ~machine
   (* Offset the streams by [seed] so distinct executions sample differently. *)
   let mk () =
     let g = Prng.split root in
-    for _ = 1 to seed land 0xff do
-      ignore (Prng.bits64 g)
-    done;
+    Prng.discard g (seed land 0xff);
     g
   in
   let rng = mk () in
@@ -277,9 +276,10 @@ let csod_malloc t ~size ~ctx =
       Respond.record_patch r ~site:(fst entry.Context_table.key)
         ~ctx:entry.Context_table.key ~addr:app ~at_sec:(now t)
     | None -> ());
-    Trace.decision ~watched:false
-      ~prob:(Context_table.effective_prob t.contexts entry)
-      ~key:entry.Context_table.key ~addr:app;
+    if Trace.on () then
+      Trace.decision ~watched:false
+        ~prob:(Context_table.effective_prob t.contexts entry)
+        ~key:entry.Context_table.key ~addr:app;
     app
   end
   else begin
@@ -309,9 +309,10 @@ let csod_malloc t ~size ~ctx =
       Metrics.incr t.c_watched;
       Context_table.note_watched t.contexts entry
     end;
-    Trace.decision ~watched
-      ~prob:(Context_table.effective_prob t.contexts entry)
-      ~key:entry.Context_table.key ~addr:app;
+    if Trace.on () then
+      Trace.decision ~watched
+        ~prob:(Context_table.effective_prob t.contexts entry)
+        ~key:entry.Context_table.key ~addr:app;
     app
   end
 
@@ -330,7 +331,7 @@ let check_canary t ~app ~size ~ctx_id ~source =
         { Report.kind = Report.Over_write;
           source;
           access_backtrace = [];
-          alloc_backtrace = entry.Context_table.full_ctx;
+          alloc_backtrace = Array.to_list entry.Context_table.full_ctx;
           ctx_key = entry.Context_table.key;
           object_addr = app;
           watch_addr = Canary.boundary_addr ~app ~size;
@@ -359,15 +360,18 @@ let csod_free t ~ptr =
     (match t.respond with
     | Some r when Respond.oblivious r -> Respond.release r ~obj:ptr
     | _ -> ());
-    (if evidence t then
-       match Canary.read_header t.machine ~app:ptr with
-       | Some (base, size, ctx_id) ->
-         check_canary t ~app:ptr ~size ~ctx_id ~source:Report.Canary_free;
-         Heap.free t.heap base
-       | None ->
-         (* No CSOD header: a foreign pointer; let the heap diagnose it. *)
-         Heap.free t.heap ptr
-     else Heap.free t.heap ptr);
+    (if evidence t && Canary.managed t.machine ~app:ptr then begin
+       let m = t.machine in
+       let base = Canary.real_base m ~app:ptr in
+       let size = Canary.object_size m ~app:ptr in
+       let ctx_id = Canary.context_id m ~app:ptr in
+       check_canary t ~app:ptr ~size ~ctx_id ~source:Report.Canary_free;
+       Heap.free t.heap base
+     end
+     else
+       (* No header: none are planted without evidence mode, and with it
+          a pointer lacking one is foreign.  The heap diagnoses it. *)
+       Heap.free t.heap ptr);
     (* Recorded last so an object's story closes after its at-free canary
        check and any detection that check produced. *)
     Flight_recorder.free ~at:(cycles t) ~addr:ptr
@@ -382,10 +386,10 @@ let finish t =
           (* [addr] is the raw block; the application pointer sits past the
              header.  Only blocks carrying the CSOD identifier are ours. *)
           let app = Canary.app_ptr ~evidence:true ~base:addr in
-          match Canary.read_header t.machine ~app with
-          | Some (base, size, ctx_id) when base = addr ->
-            check_canary t ~app ~size ~ctx_id ~source:Report.Canary_exit
-          | _ -> ())
+          let m = t.machine in
+          if Canary.managed m ~app && Canary.real_base m ~app = addr then
+            check_canary t ~app ~size:(Canary.object_size m ~app)
+              ~ctx_id:(Canary.context_id m ~app) ~source:Report.Canary_exit)
         t.heap;
     Machine.clear_trap_handler t.machine
   end

@@ -9,15 +9,19 @@ let chunk_size = 65536
    one.  The pool is per-domain, so fleet workers never contend. *)
 let max_pooled_pages = 512
 
-let pool_key : Bytes.t list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+(* The pool's length is kept beside it, so returning a page is O(1). *)
+type pool = { mutable pages : Bytes.t list; mutable size : int }
+
+let pool_key : pool Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { pages = []; size = 0 })
 
 let fresh_page () =
   let pool = Domain.DLS.get pool_key in
-  match !pool with
+  match pool.pages with
   | [] -> Bytes.make chunk_size '\000'
   | b :: rest ->
-    pool := rest;
+    pool.pages <- rest;
+    pool.size <- pool.size - 1;
     Bytes.fill b 0 chunk_size '\000';
     b
 
@@ -55,7 +59,11 @@ let release t =
     t.cache_chunk <- no_chunk;
     let pool = Domain.DLS.get pool_key in
     Hashtbl.iter
-      (fun _ b -> if List.length !pool < max_pooled_pages then pool := b :: !pool)
+      (fun _ b ->
+        if pool.size < max_pooled_pages then begin
+          pool.pages <- b :: pool.pages;
+          pool.size <- pool.size + 1
+        end)
       t.chunks;
     Hashtbl.reset t.chunks
   end
@@ -107,33 +115,73 @@ let write_u8 t addr v =
   let b = chunk_for t addr in
   Bytes.unsafe_set b (addr mod chunk_size) (Char.unsafe_chr (v land 0xff))
 
+(* Native-endian word primitives, byte-swapped on big-endian hosts so the
+   layout stays little-endian.  Used directly on the in-chunk fast paths,
+   where the compiler keeps the int64 unboxed. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] get_le b off =
+  if Sys.big_endian then swap64 (get64 b off) else get64 b off
+
+let[@inline] set_le b off v =
+  if Sys.big_endian then set64 b off (swap64 v) else set64 b off v
+
+(* Straddling a chunk boundary: assemble byte by byte. *)
+let read_u64_split t addr =
+  let v = ref 0L in
+  for i = 7 downto 0 do
+    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (read_u8 t (addr + i)))
+  done;
+  !v
+
+let write_u64_split t addr v =
+  for i = 0 to 7 do
+    write_u8 t (addr + i) (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff)
+  done
+
+(* Inlined into the int and comparison paths below, so the loaded word is
+   converted or compared without ever being boxed. *)
 let read_u64 t addr =
   check addr;
   (* Fast path: the whole word lies inside one chunk. *)
   let off = addr mod chunk_size in
   if off <= chunk_size - 8 then begin
     let b = chunk_at t addr in
-    if b == no_chunk then 0L else Bytes.get_int64_le b off
+    if b == no_chunk then 0L else get_le b off
   end
-  else begin
-    let v = ref 0L in
-    for i = 7 downto 0 do
-      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (read_u8 t (addr + i)))
-    done;
-    !v
-  end
+  else read_u64_split t addr
 
 let write_u64 t addr v =
   check addr;
   let off = addr mod chunk_size in
-  if off <= chunk_size - 8 then Bytes.set_int64_le (chunk_for t addr) off v
-  else
-    for i = 0 to 7 do
-      write_u8 t (addr + i) (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff)
-    done
+  if off <= chunk_size - 8 then set_le (chunk_for t addr) off v
+  else write_u64_split t addr v
 
-let read_int t addr = Int64.to_int (read_u64 t addr)
-let write_int t addr v = write_u64 t addr (Int64.of_int v)
+let read_int t addr =
+  check addr;
+  let off = addr mod chunk_size in
+  if off <= chunk_size - 8 then begin
+    let b = chunk_at t addr in
+    if b == no_chunk then 0 else Int64.to_int (get_le b off)
+  end
+  else Int64.to_int (read_u64_split t addr)
+
+let write_int t addr v =
+  check addr;
+  let off = addr mod chunk_size in
+  if off <= chunk_size - 8 then set_le (chunk_for t addr) off (Int64.of_int v)
+  else write_u64_split t addr (Int64.of_int v)
+
+let equal_u64 t addr v =
+  check addr;
+  let off = addr mod chunk_size in
+  if off <= chunk_size - 8 then begin
+    let b = chunk_at t addr in
+    if b == no_chunk then v = 0L else get_le b off = v
+  end
+  else read_u64_split t addr = v
 
 (* Store returning the displaced value: the armed response layer's
    pre-write capture folded into the write itself, so the squash path
@@ -152,9 +200,9 @@ let exchange_int t addr v =
   let off = addr mod chunk_size in
   if off <= chunk_size - 8 then begin
     let b = chunk_for t addr in
-    let old = Bytes.get_int64_le b off in
-    Bytes.set_int64_le b off (Int64.of_int v);
-    Int64.to_int old
+    let old = Int64.to_int (get_le b off) in
+    set_le b off (Int64.of_int v);
+    old
   end
   else begin
     let old = read_int t addr in

@@ -30,6 +30,12 @@ val read_int : t -> addr -> int
     bit); the MiniC interpreter's word type. *)
 
 val write_int : t -> addr -> int -> unit
+(** Word store of an OCaml [int], sign-extended to 64 bits.  Neither
+    [read_int] nor [write_int] allocates. *)
+
+val equal_u64 : t -> addr -> int64 -> bool
+(** [equal_u64 t a v] is [read_u64 t a = v] without boxing the loaded
+    word: the canary check's comparison. *)
 
 val exchange_u8 : t -> addr -> int -> int
 (** [exchange_u8 t a v] stores the low 8 bits of [v] and returns the byte

@@ -65,7 +65,7 @@ let make_ctx st (call_expr : Ast.expr) : Alloc_ctx.t =
     backtrace =
       (fun () ->
         Machine.work st.m Cost.backtrace_full;
-        backtrace_of_frames frames call_expr.eaddr) }
+        Array.of_list (backtrace_of_frames frames call_expr.eaddr)) }
 
 let truthy v = v <> 0
 let of_bool b = if b then 1 else 0

@@ -13,12 +13,14 @@
    against the callee's statically computed [fi_max_stack], so the
    per-instruction stack operations are unchecked array accesses. *)
 
-type vframe = {
-  callsite : int;    (* code address of the call expression *)
-  vsp : int;         (* simulated stack pointer of this activation *)
-  ret_pc : int;      (* instruction index to resume; -1 = host boundary *)
-  saved_base : int;  (* caller's locals window base *)
-}
+(* Call frames live in one flat int array, [frame_words] ints per frame,
+   outermost first: a call writes four ints instead of consing a record,
+   and backtraces are read straight out of the array. *)
+let frame_words = 4
+let f_callsite = 0   (* code address of the call expression *)
+let f_vsp = 1        (* simulated stack pointer of this activation *)
+let f_ret_pc = 2     (* instruction index to resume; -1 = host boundary *)
+let f_saved_base = 3 (* caller's locals window base *)
 
 type st = {
   m : Machine.t;
@@ -27,7 +29,8 @@ type st = {
   inputs : int array;
   app_rng : Prng.t;
   buf : Buffer.t;
-  mutable frames : vframe list; (* innermost first *)
+  mutable frames : int array;   (* [depth] frames of [frame_words] ints *)
+  mutable depth : int;
   mutable steps : int;
   step_limit : int;
   mutable stack : int array;    (* operand stack *)
@@ -35,6 +38,8 @@ type st = {
   mutable locals : int array;   (* per-frame slot windows, bump-allocated *)
   mutable lbase : int;
   mutable ltop : int;
+  mutable alloc_site : int;     (* call site of the allocation in progress *)
+  walker : unit -> int array;   (* the one backtrace thunk of every ctx *)
 }
 
 let error loc fmt =
@@ -43,18 +48,40 @@ let error loc fmt =
 let stack_base = Interp.stack_base
 let statement_cost = Interp.statement_cost
 
-let backtrace_of_frames frames pc =
-  pc :: List.map (fun f -> f.callsite) frames
+(* The full calling context, innermost first: [pc], then the call site of
+   every live frame from innermost to outermost. *)
+let backtrace_array st pc =
+  let d = st.depth and frames = st.frames in
+  let bt = Array.make (d + 1) pc in
+  for k = 1 to d do
+    bt.(k) <- frames.(((d - k) * frame_words) + f_callsite)
+  done;
+  bt
 
-let make_ctx st callsite : Alloc_ctx.t =
+let backtrace_list st pc =
   let frames = st.frames in
-  let sp = (List.hd frames).vsp in
+  let rec go k acc =
+    if k >= st.depth then acc
+    else go (k + 1) (frames.((k * frame_words) + f_callsite) :: acc)
+  in
+  pc :: go 0 []
+
+let top_vsp st =
+  if st.depth = 0 then stack_base
+  else st.frames.(((st.depth - 1) * frame_words) + f_vsp)
+
+(* The handle shares [st.walker], which walks whatever stack is live when
+   the tool calls it — during this malloc — so no closure is allocated
+   per allocation. *)
+let make_ctx st callsite : Alloc_ctx.t =
+  st.alloc_site <- callsite;
   { Alloc_ctx.callsite;
-    stack_offset = stack_base - sp;
-    backtrace =
-      (fun () ->
-        Machine.work st.m Cost.backtrace_full;
-        backtrace_of_frames frames callsite) }
+    stack_offset = stack_base - top_vsp st;
+    backtrace = st.walker }
+
+let walk st () =
+  Machine.work st.m Cost.backtrace_full;
+  backtrace_array st st.alloc_site
 
 let of_bool b = if b then 1 else 0
 
@@ -91,13 +118,16 @@ let grow_locals st needed =
   Array.blit st.locals 0 arr 0 st.ltop;
   st.locals <- arr
 
+let grow_frames st =
+  let arr = Array.make (2 * Array.length st.frames) 0 in
+  Array.blit st.frames 0 arr 0 (st.depth * frame_words);
+  st.frames <- arr
+
 (* Push a frame for [f]: pop its arguments (pushed left-to-right) into
    slots 0..nargs-1 and guarantee operand-stack headroom for the whole of
    [f]'s own code — nested calls re-check at their own push. *)
 let push_frame st (f : Compile.func_info) ~callsite ~ret_pc =
-  let parent_sp =
-    match st.frames with [] -> stack_base | fr :: _ -> fr.vsp
-  in
+  let parent_sp = top_vsp st in
   if st.sp + f.Compile.fi_max_stack > Array.length st.stack then
     grow_stack st (st.sp + f.Compile.fi_max_stack);
   let base = st.ltop in
@@ -109,12 +139,14 @@ let push_frame st (f : Compile.func_info) ~callsite ~ret_pc =
     Array.unsafe_set locals (base + j) (Array.unsafe_get stack (sp + j))
   done;
   st.sp <- sp;
-  st.frames <-
-    { callsite;
-      vsp = parent_sp - f.Compile.fi_frame_bytes;
-      ret_pc;
-      saved_base = st.lbase }
-    :: st.frames;
+  let o = st.depth * frame_words in
+  if o + frame_words > Array.length st.frames then grow_frames st;
+  let frames = st.frames in
+  Array.unsafe_set frames (o + f_callsite) callsite;
+  Array.unsafe_set frames (o + f_vsp) (parent_sp - f.Compile.fi_frame_bytes);
+  Array.unsafe_set frames (o + f_ret_pc) ret_pc;
+  Array.unsafe_set frames (o + f_saved_base) st.lbase;
+  st.depth <- st.depth + 1;
   st.lbase <- base;
   st.ltop <- base + f.Compile.fi_nslots
 
@@ -186,19 +218,20 @@ and dispatch st code i : int =
     Array.unsafe_set st.stack st.sp r;
     st.sp <- st.sp + 1;
     dispatch st code (i + 1)
-  | Compile.Ret -> (
-    match st.frames with
-    | fr :: rest ->
-      st.frames <- rest;
-      st.ltop <- st.lbase;
-      st.lbase <- fr.saved_base;
-      if fr.ret_pc < 0 then begin
-        let sp = st.sp - 1 in
-        st.sp <- sp;
-        Array.unsafe_get st.stack sp
-      end
-      else dispatch st code fr.ret_pc
-    | [] -> assert false)
+  | Compile.Ret ->
+    let d = st.depth - 1 in
+    st.depth <- d;
+    (* bounds-checked: a Ret with no live frame must not read garbage *)
+    let o = d * frame_words in
+    let ret_pc = st.frames.(o + f_ret_pc) in
+    st.ltop <- st.lbase;
+    st.lbase <- st.frames.(o + f_saved_base);
+    if ret_pc < 0 then begin
+      let sp = st.sp - 1 in
+      st.sp <- sp;
+      Array.unsafe_get st.stack sp
+    end
+    else dispatch st code ret_pc
   | Compile.Push n ->
     Array.unsafe_set st.stack st.sp n;
     st.sp <- st.sp + 1;
@@ -524,23 +557,26 @@ let run ~machine ~tool ~program ?(inputs = [||]) ?(app_seed = 1)
     | Some f -> f
     | None -> failwith "Vm.run: program has no main (did Sema run?)"
   in
-  let st =
+  let rec st =
     { m = machine;
       tool;
       code;
       inputs;
       app_rng = Prng.create ~seed:app_seed;
       buf = Buffer.create 256;
-      frames = [];
+      frames = Array.make (64 * frame_words) 0;
+      depth = 0;
       steps = 0;
       step_limit;
       stack = Array.make 1024 0;
       sp = 0;
       locals = Array.make 1024 0;
       lbase = 0;
-      ltop = 0 }
+      ltop = 0;
+      alloc_site = 0;
+      walker = (fun () -> walk st ()) }
   in
   Machine.set_backtrace_provider machine (fun () ->
-      backtrace_of_frames st.frames (Machine.pc machine));
+      backtrace_list st (Machine.pc machine));
   let rv = run_call st main ~callsite:main.Compile.fi_addr in
   { Interp.output = Buffer.contents st.buf; return_value = rv; steps = st.steps }

@@ -82,16 +82,17 @@ let histogram t ?(bounds = default_bounds) name =
     h
 
 (* A value lands in the first bucket whose upper bound is >= the value;
-   values above every bound land in the final overflow bucket. *)
-let bucket_index h v =
-  let n = Array.length h.bounds in
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if v <= h.bounds.(mid) then go lo mid else go (mid + 1) hi
-  in
-  go 0 n
+   values above every bound land in the final overflow bucket.  A
+   top-level binary search, not a local loop: observing allocates no
+   closure (the heap observes every malloc). *)
+let rec bucket_search bounds v lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if v <= bounds.(mid) then bucket_search bounds v lo mid
+    else bucket_search bounds v (mid + 1) hi
+
+let bucket_index h v = bucket_search h.bounds v 0 (Array.length h.bounds)
 
 let observe h v =
   h.observations <- h.observations + 1;

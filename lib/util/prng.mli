@@ -33,6 +33,10 @@ val copy : t -> t
 val bits64 : t -> int64
 (** [bits64 t] returns 64 uniformly distributed bits. *)
 
+val discard : t -> int -> unit
+(** [discard t n] advances [t] by [n] draws, exactly as [n] calls to
+    {!bits64} would, without materialising the draws. *)
+
 val int : t -> int -> int
 (** [int t bound] returns a uniform integer in [\[0, bound)].  [bound] must be
     positive.  Uses rejection sampling, so the result is unbiased. *)

@@ -295,6 +295,15 @@ let test_canary_layout () =
   Alcotest.(check int) "base ptr inverse" 100 (Canary.base_ptr ~evidence:true ~app:132);
   Alcotest.(check int) "boundary" (132 + 40) (Canary.boundary_addr ~app:132 ~size:33)
 
+(* The header as one triple, [None] where no CSOD header is present. *)
+let read_header m ~app =
+  if Canary.managed m ~app then
+    Some
+      ( Canary.real_base m ~app,
+        Canary.object_size m ~app,
+        Canary.context_id m ~app )
+  else None
+
 let test_canary_plant_check () =
   let m = Machine.create () in
   let base = Machine.sbrk m 128 in
@@ -303,7 +312,7 @@ let test_canary_plant_check () =
   Alcotest.(check bool) "intact" true (Canary.check m ~app ~size:24 ~expected:0xDEADBEEFL);
   Alcotest.(check (option (triple int int int))) "header readable"
     (Some (base, 24, 77))
-    (Canary.read_header m ~app);
+    (read_header m ~app);
   (* corrupt one canary byte *)
   Sparse_mem.write_u8 (Machine.mem m) (Canary.boundary_addr ~app ~size:24) 0x00;
   Alcotest.(check bool) "corruption detected" false
@@ -313,9 +322,9 @@ let test_canary_foreign_header () =
   let m = Machine.create () in
   let base = Machine.sbrk m 128 in
   Alcotest.(check (option (triple int int int))) "no identifier: not ours" None
-    (Canary.read_header m ~app:(base + 32));
+    (read_header m ~app:(base + 32));
   Alcotest.(check (option (triple int int int))) "negative base" None
-    (Canary.read_header m ~app:8)
+    (read_header m ~app:8)
 
 (* ---------- Persist ---------- *)
 

@@ -1,33 +1,30 @@
 (* Tests for the allocator substrate: size classes and the heap. *)
 
 let test_size_classes () =
-  Alcotest.(check int) "min request" 16 (Size_class.block_size (Size_class.classify 1));
-  Alcotest.(check int) "zero treated as one" 16
-    (Size_class.block_size (Size_class.classify 0));
-  Alcotest.(check int) "exact class" 64 (Size_class.block_size (Size_class.classify 64));
-  Alcotest.(check int) "rounds to 16-byte step" 80
-    (Size_class.block_size (Size_class.classify 65));
-  Alcotest.(check int) "largest small" 4096
-    (Size_class.block_size (Size_class.classify 4096));
-  (match Size_class.classify 4097 with
-  | Size_class.Large n -> Alcotest.(check int) "large rounded" 4112 n
-  | Size_class.Small _ -> Alcotest.fail "4097 must be large");
-  Alcotest.check_raises "negative" (Invalid_argument "Size_class.classify: negative size")
-    (fun () -> ignore (Size_class.classify (-1)))
+  Alcotest.(check int) "min request" 16 (Size_class.block_size 1);
+  Alcotest.(check int) "zero treated as one" 16 (Size_class.block_size 0);
+  Alcotest.(check int) "exact class" 64 (Size_class.block_size 64);
+  Alcotest.(check int) "rounds to 16-byte step" 80 (Size_class.block_size 65);
+  Alcotest.(check int) "largest small" 4096 (Size_class.block_size 4096);
+  Alcotest.(check int) "large rounded" 4112 (Size_class.block_size 4097);
+  Alcotest.(check int) "4097 must be large" (-1)
+    (Size_class.class_index (Size_class.block_size 4097));
+  Alcotest.check_raises "negative" (Invalid_argument "Size_class.block_size: negative size")
+    (fun () -> ignore (Size_class.block_size (-1)))
 
 let test_size_class_index () =
-  Alcotest.(check (option int)) "first index" (Some 0)
-    (Size_class.class_index (Size_class.classify 16));
-  Alcotest.(check (option int)) "last index" (Some (Size_class.num_small_classes - 1))
-    (Size_class.class_index (Size_class.classify 4096));
-  Alcotest.(check (option int)) "large has none" None
-    (Size_class.class_index (Size_class.classify 10000))
+  Alcotest.(check int) "first index" 0
+    (Size_class.class_index (Size_class.block_size 16));
+  Alcotest.(check int) "last index" (Size_class.num_small_classes - 1)
+    (Size_class.class_index (Size_class.block_size 4096));
+  Alcotest.(check int) "large has none" (-1)
+    (Size_class.class_index (Size_class.block_size 10000))
 
 let prop_block_covers_request =
   QCheck.Test.make ~name:"block_size >= request, 16-aligned" ~count:500
     QCheck.(int_range 0 100_000)
     (fun size ->
-      let b = Size_class.block_size (Size_class.classify size) in
+      let b = Size_class.block_size size in
       b >= max 1 size && b mod 16 = 0)
 
 let mk_heap () =

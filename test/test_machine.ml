@@ -14,14 +14,28 @@ let test_mem_words () =
   Sparse_mem.write_u64 m 0x1000 0x1122334455667788L;
   Alcotest.(check int64) "roundtrip" 0x1122334455667788L (Sparse_mem.read_u64 m 0x1000);
   Alcotest.(check int) "little-endian byte" 0x88 (Sparse_mem.read_u8 m 0x1000);
-  Alcotest.(check int) "high byte" 0x11 (Sparse_mem.read_u8 m 0x1007)
+  Alcotest.(check int) "high byte" 0x11 (Sparse_mem.read_u8 m 0x1007);
+  Alcotest.(check bool) "equal_u64 match" true
+    (Sparse_mem.equal_u64 m 0x1000 0x1122334455667788L);
+  Alcotest.(check bool) "equal_u64 mismatch" false
+    (Sparse_mem.equal_u64 m 0x1000 0x1122334455667789L);
+  Alcotest.(check bool) "untouched word equals zero" true
+    (Sparse_mem.equal_u64 m 0x7000_0000 0L)
 
 let test_mem_cross_chunk () =
   let m = Sparse_mem.create () in
   let addr = Sparse_mem.chunk_size - 3 in
   Sparse_mem.write_u64 m addr 0x0123456789ABCDEFL;
   Alcotest.(check int64) "straddling chunk boundary" 0x0123456789ABCDEFL
-    (Sparse_mem.read_u64 m addr)
+    (Sparse_mem.read_u64 m addr);
+  Alcotest.(check bool) "straddling equal_u64" true
+    (Sparse_mem.equal_u64 m addr 0x0123456789ABCDEFL);
+  let addr = (2 * Sparse_mem.chunk_size) - 5 in
+  Sparse_mem.write_int m addr (-0x123456789AB);
+  Alcotest.(check int) "straddling int word" (-0x123456789AB)
+    (Sparse_mem.read_int m addr);
+  Alcotest.(check int) "straddling int word, little-endian" 0x55
+    (Sparse_mem.read_u8 m addr)
 
 let test_mem_fill_and_int () =
   let m = Sparse_mem.create () in

@@ -15,6 +15,7 @@ let () =
       ("obs", Test_obs.suite);
       ("core", Test_core.suite);
       ("runtime", Test_runtime.suite);
+      ("budget", Test_budget.suite);
       ("sim", Test_sim.suite);
       ("prop", Test_prop.suite);
       ("asan", Test_asan.suite);

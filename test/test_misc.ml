@@ -44,7 +44,7 @@ let test_alloc_ctx () =
   Alcotest.(check bool) "hash nonnegative" true (Alloc_ctx.hash_key (1, 2) >= 0);
   Alcotest.(check bool) "hash separates components" true
     (Alloc_ctx.hash_key (1, 2) <> Alloc_ctx.hash_key (2, 1));
-  Alcotest.(check (list int)) "synthetic backtrace" [ 0x400 ] (c.Alloc_ctx.backtrace ());
+  Alcotest.(check (array int)) "synthetic backtrace" [| 0x400 |] (c.Alloc_ctx.backtrace ());
   let d = Alloc_ctx.synthetic ~callsite:7 () in
   Alcotest.(check int) "default offset" 0 d.Alloc_ctx.stack_offset
 

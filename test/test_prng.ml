@@ -108,6 +108,97 @@ let test_bool_balance () =
   done;
   Alcotest.(check bool) "roughly balanced" true (!t > 4_500 && !t < 5_500)
 
+(* Known-answer vectors recorded from the reference xoshiro256** stream
+   (splitmix64 seeding).  The tests above only compare two streams with
+   each other; these pin the stream itself, so a change to the state
+   representation that alters a single output bit fails here. *)
+
+let first8 =
+  [ ( 0,
+      [ 0x99ec5f36cb75f2b4L; 0xbf6e1f784956452aL; 0x1a5f849d4933e6e0L;
+        0x6aa594f1262d2d2cL; 0xbba5ad4a1f842e59L; 0xffef8375d9ebcacaL;
+        0x6c160deed2f54c98L; 0x8920ad648fc30a3fL ] );
+    ( 1,
+      [ 0xb3f2af6d0fc710c5L; 0x853b559647364ceaL; 0x92f89756082a4514L;
+        0x642e1c7bc266a3a7L; 0xb27a48e29a233673L; 0x24c123126ffda722L;
+        0x123004ef8df510e6L; 0x61954dcc47b1e89dL ] );
+    ( 42,
+      [ 0x15780b2e0c2ec716L; 0x6104d9866d113a7eL; 0xae17533239e499a1L;
+        0xecb8ad4703b360a1L; 0xfde6dc7fe2ec5e64L; 0xc50da53101795238L;
+        0xb82154855a65ddb2L; 0xd99a2743ebe60087L ] ) ]
+
+let draws g n = List.init n (fun _ -> Prng.bits64 g)
+
+let test_kat_bits64 () =
+  List.iter
+    (fun (seed, want) ->
+      Alcotest.(check (list int64))
+        (Printf.sprintf "seed %d first 8" seed)
+        want
+        (draws (Prng.create ~seed) 8))
+    first8;
+  let g = Prng.create ~seed:42 in
+  Prng.discard g 3;
+  Alcotest.(check int64) "discard 3, then the 4th draw" 0xecb8ad4703b360a1L
+    (Prng.bits64 g)
+
+let test_kat_int () =
+  let g = Prng.create ~seed:42 in
+  List.iter
+    (fun (bound, want) ->
+      Alcotest.(check int) (Printf.sprintf "int %d" bound) want (Prng.int g bound))
+    [ (1, 0); (2, 0); (3, 0); (10, 1); (100, 64); (1_000_003, 539672);
+      (max_int, 4044606872079424946);
+      (max_int / 2 + 7, 1844830170035650695) ];
+  (* Seed 1's first draw lands in the biased tail for bound 2^61+1 and is
+     rejected: the result comes from the second draw, and the stream is
+     left at the third. *)
+  let g = Prng.create ~seed:1 in
+  Alcotest.(check int) "rejection case" 376989097743764714
+    (Prng.int g ((1 lsl 61) + 1));
+  Alcotest.(check int64) "two draws consumed" 0x92f89756082a4514L (Prng.bits64 g)
+
+let test_kat_float_bool_percent () =
+  let g = Prng.create ~seed:1 in
+  Alcotest.(check (list (float 0.)))
+    "float seed 1"
+    [ 0x1.67e55eda1f8e2p-1; 0x1.0a76ab2c8e6c9p-1; 0x1.25f12eac10548p-1;
+      0x1.90b871ef099a8p-2 ]
+    (List.init 4 (fun _ -> Prng.float g));
+  let bits g n f =
+    String.init n (fun _ -> if f g then '1' else '0')
+  in
+  Alcotest.(check string) "below_percent 0.5 seed 1" "0001011100000000"
+    (bits (Prng.create ~seed:1) 16 (fun g -> Prng.below_percent g 0.5));
+  Alcotest.(check string) "below_percent 0.1 seed 7"
+    "00000010000000000000000000100010"
+    (bits (Prng.create ~seed:7) 32 (fun g -> Prng.below_percent g 0.1));
+  Alcotest.(check string) "bool seed 1" "1001100110101111"
+    (bits (Prng.create ~seed:1) 16 Prng.bool)
+
+let test_kat_derived () =
+  let g = Prng.create ~seed:42 in
+  let s = Prng.split g in
+  Alcotest.(check (list int64)) "split child"
+    [ 0x8ee445d14631c453L; 0x106fa1a13296fe62L ] (draws s 2);
+  Alcotest.(check int64) "split parent" 0x6104d9866d113a7eL (Prng.bits64 g);
+  let g = Prng.create ~seed:42 in
+  let f = Prng.fork g "x" in
+  Alcotest.(check (list int64)) "fork \"x\" child"
+    [ 0x8838f551bab8fde3L; 0xff7e1953aa5da174L ] (draws f 2);
+  Alcotest.(check int64) "fork parent" 0x6104d9866d113a7eL (Prng.bits64 g);
+  let g = Prng.create ~seed:42 in
+  Alcotest.(check (list int64)) "canary64 seed 42"
+    [ 0x15780b2e0c2ec716L; 0x6104d9866d113a7eL; 0xae17533239e499a1L;
+      0xecb8ad4703b360a1L ]
+    (List.init 4 (fun _ -> Prng.canary64 g));
+  let g = Prng.create ~seed:3 in
+  ignore (Prng.bits64 g);
+  let c = Prng.copy g in
+  Alcotest.(check int64) "copy" 0xa3fd1dea5e1864eeL (Prng.bits64 c);
+  Alcotest.(check int64) "original after copy" 0xa3fd1dea5e1864eeL
+    (Prng.bits64 g)
+
 let prop_int_in_bounds =
   QCheck.Test.make ~name:"Prng.int stays in [0, bound)" ~count:500
     QCheck.(pair small_int (int_range 1 1_000_000))
@@ -139,5 +230,11 @@ let suite =
     Alcotest.test_case "below_percent rate" `Quick test_below_percent_rate;
     Alcotest.test_case "float range" `Quick test_float_range;
     Alcotest.test_case "bool balance" `Quick test_bool_balance;
+    Alcotest.test_case "known answers: bits64" `Quick test_kat_bits64;
+    Alcotest.test_case "known answers: int" `Quick test_kat_int;
+    Alcotest.test_case "known answers: float/bool/below_percent" `Quick
+      test_kat_float_bool_percent;
+    Alcotest.test_case "known answers: split/fork/canary/copy" `Quick
+      test_kat_derived;
     QCheck_alcotest.to_alcotest prop_int_in_bounds;
     QCheck_alcotest.to_alcotest prop_canary_nonzero ]
