@@ -51,10 +51,11 @@ engines:
 	@dune exec bench/main.exe -- exec
 
 # Event-stream hygiene: the JSONL emitted by --events must be one JSON
-# object per line, never a torn line.
+# object per line, never a torn line, and every record whose schema has a
+# description must satisfy it.
 validate:
 	dune exec bin/csod_run.exe -- run heartbleed --seed 3 --events /tmp/csod_events.jsonl > /dev/null
-	tools/validate_jsonl.sh /tmp/csod_events.jsonl
+	dune exec bin/csod_run.exe -- validate /tmp/csod_events.jsonl
 
 # Bounded simulation sweep: ~2k weighted operation sequences across the
 # five stack-layer alphabets (heap+sparse memory, runtime, fleet, store,
@@ -74,7 +75,7 @@ sim:
 respond:
 	dune exec bin/csod_run.exe -- run heartbleed --seed 1 --respond oblivious --events /tmp/csod_respond.jsonl > /dev/null
 	grep -q '"kind":"redirect-' /tmp/csod_respond.jsonl
-	tools/validate_jsonl.sh /tmp/csod_respond.jsonl
+	dune exec bin/csod_run.exe -- validate /tmp/csod_respond.jsonl
 	dune exec bin/csod_run.exe -- serve zziplib --users 200 --epoch 32 --epochs 12 --domains 2 --seed 1 --respond patch=3 --alerts 'patch>0@2' > /tmp/csod_respond_serve.out
 	grep -q 'patch>0@2 FIRING' /tmp/csod_respond_serve.out
 	grep -q 'patch>0@2 cleared' /tmp/csod_respond_serve.out

@@ -26,6 +26,9 @@
    injector over a range of rates and emits one csod.bench.resilience/1
    row per (app, rate): the detection-rate-vs-fault-rate curve.
 
+   `respond` (explicit-only, JSONL) emits csod.bench.respond/1 rows: one
+   failure-oblivious survival row per app and one hook-overhead row.
+
    `throughput` (explicit-only, JSONL) times the single-execution hot
    paths — malloc, free, read, write, trap — in real nanoseconds, both as
    shipped and with the hot-path optimizations toggled back to their
@@ -38,6 +41,11 @@
    kernel workloads, serial and metrics modes, and emits one
    csod.bench.exec/1 row per (workload, mode) with the vm-over-interp
    speedup.  This is the `make engines` target. *)
+
+(* One JSONL row of a described schema: the tag, then [fields]. *)
+let emit (d : Jsonl_schema.t) fields =
+  print_endline
+    (Obs_json.to_string (`Assoc (("schema", `String d.tag) :: fields)))
 
 let progress fmt = Printf.ksprintf (fun s -> Printf.eprintf "  .. %s\n%!" s) fmt
 
@@ -309,8 +317,6 @@ let fleet_table () =
    emit one row per app with the measured wall-clock speedup.  Schema:
    csod.bench.fleet/1. *)
 
-let fleet_schema = "csod.bench.fleet/1"
-
 let fleet_bench () =
   let parallel_domains = max 2 (Pool.default_domains ()) in
   let bench_one ~users (app : Buggy_app.t) =
@@ -332,29 +338,26 @@ let fleet_bench () =
       && Metrics.counters_list serial.Fleet.metrics
          = Metrics.counters_list parallel.Fleet.metrics
     in
-    print_endline
-      (Obs_json.to_string
-         (`Assoc
-           [ ("schema", `String fleet_schema);
-             ("app", `String app.Buggy_app.name);
-             ("config", `String (Config.label config));
-             ("users", `Int users);
-             ("epoch_size", `Int 32);
-             ("benign_frac", `Float 0.25);
-             ("domains", `Int parallel_domains);
-             ("detections", `Int serial.Fleet.detections);
-             ("first_catch",
-              match serial.Fleet.first_catch with
-              | Some s ->
-                `Assoc
-                  [ ("uid", `Int s.Fleet.user.Workload.uid);
-                    ("epoch", `Int s.Fleet.epoch) ]
-              | None -> `Null);
-             ("store_contexts", `Int (Persist.count serial.Fleet.store));
-             ("deterministic", `Bool identical);
-             ("wall_seconds_serial", `Float wall_serial);
-             ("wall_seconds_parallel", `Float wall_parallel);
-             ("speedup", `Float (wall_serial /. max 1e-9 wall_parallel)) ]))
+    emit Jsonl_schema.bench_fleet
+      [ ("app", `String app.Buggy_app.name);
+        ("config", `String (Config.label config));
+        ("users", `Int users);
+        ("epoch_size", `Int 32);
+        ("benign_frac", `Float 0.25);
+        ("domains", `Int parallel_domains);
+        ("detections", `Int serial.Fleet.detections);
+        ("first_catch",
+         match serial.Fleet.first_catch with
+         | Some s ->
+           `Assoc
+             [ ("uid", `Int s.Fleet.user.Workload.uid);
+               ("epoch", `Int s.Fleet.epoch) ]
+         | None -> `Null);
+        ("store_contexts", `Int (Persist.count serial.Fleet.store));
+        ("deterministic", `Bool identical);
+        ("wall_seconds_serial", `Float wall_serial);
+        ("wall_seconds_parallel", `Float wall_parallel);
+        ("speedup", `Float (wall_serial /. max 1e-9 wall_parallel)) ]
   in
   List.iter
     (fun (name, users) ->
@@ -375,8 +378,6 @@ let fleet_bench () =
    recorder armed; the kernel also takes telemetry snapshots).  Both
    engines are checked to agree on the workload's observables before
    timing and the row carries the verdict.  Schema: csod.bench.exec/1. *)
-
-let exec_schema = "csod.bench.exec/1"
 
 (* Integer-mixing kernel: tight loops, calls, branches and shifts, no
    allocation — the dispatch-bound regime the bytecode VM targets. *)
@@ -448,21 +449,18 @@ let exec_bench () =
         let wi = time ~mode ~runs once Engine.Interp in
         let wv = time ~mode ~runs once Engine.Vm in
         let rate w = float_of_int runs /. max 1e-9 w in
-        print_endline
-          (Obs_json.to_string
-             (`Assoc
-               [ ("schema", `String exec_schema);
-                 ("workload", `String workload);
-                 ("kind", `String kind);
-                 ("mode", `String mode_name);
-                 ("runs", `Int runs);
-                 ("cycles", `Int ci);
-                 ("deterministic", `Bool identical);
-                 ("interp_wall_seconds", `Float wi);
-                 ("vm_wall_seconds", `Float wv);
-                 ("interp_execs_per_sec", `Float (rate wi));
-                 ("vm_execs_per_sec", `Float (rate wv));
-                 ("speedup", `Float (wi /. max 1e-9 wv)) ])))
+        emit Jsonl_schema.bench_exec
+          [ ("workload", `String workload);
+            ("kind", `String kind);
+            ("mode", `String mode_name);
+            ("runs", `Int runs);
+            ("cycles", `Int ci);
+            ("deterministic", `Bool identical);
+            ("interp_wall_seconds", `Float wi);
+            ("vm_wall_seconds", `Float wv);
+            ("interp_execs_per_sec", `Float (rate wi));
+            ("vm_execs_per_sec", `Float (rate wv));
+            ("speedup", `Float (wi /. max 1e-9 wv)) ])
       [ ("serial", `Serial); ("metrics", `Metrics) ]
   in
   bench_one ~workload:"kernel-mix" ~kind:"kernel" ~runs:10 kernel_once;
@@ -473,20 +471,11 @@ let exec_bench () =
     [ ("Zziplib", 400); ("LibHX", 1500); ("Heartbleed", 15) ]
 
 (* ------------------------------------------------------------------ *)
-(* Resilience: detection rate under injected faults (JSONL)            *)
+(* Active response: survival and hook overhead (JSONL)                 *)
 
-(* Explicit-only target: one row per (app, fault rate) running the fleet
-   simulator with the deterministic fault injector armed at the same rate
-   on every relevant point.  The curve quantifies graceful degradation —
-   how much detection survives when perf_event_open is contended, traps
-   are dropped, and worker domains crash.  Schema: csod.bench.resilience/1. *)
-
-(* Active response rows, riding the resilience target: how many buggy
-   executions run to completion under the failure-oblivious policy, and
-   what the armed squash/override hooks cost when nothing overflows.
-   Schema: csod.bench.respond/1. *)
-
-let respond_schema = "csod.bench.respond/1"
+(* Explicit-only target: how many buggy executions run to completion
+   under the failure-oblivious policy, and what the armed squash/override
+   hooks cost when nothing overflows.  Schema: csod.bench.respond/1. *)
 
 let respond_survival () =
   let config = Config.csod_default in
@@ -508,22 +497,19 @@ let respond_survival () =
             acc + match o.Execution.respond with Some s -> f s | None -> 0)
           0 outcomes
       in
-      print_endline
-        (Obs_json.to_string
-           (`Assoc
-             [ ("schema", `String respond_schema);
-               ("metric", `String "survival");
-               ("app", `String app.Buggy_app.name);
-               ("mode", `String "oblivious");
-               ("runs", `Int runs);
-               ("survived", `Int survived);
-               ("survival_rate", `Float (float_of_int survived /. float_of_int runs));
-               ("detections", `Int detected);
-               ("redirected_reads",
-                `Int (sum (fun s -> s.Respond.redirected_reads)));
-               ("redirected_writes",
-                `Int (sum (fun s -> s.Respond.redirected_writes)));
-               ("escapes", `Int (sum (fun s -> s.Respond.escapes))) ])))
+      emit Jsonl_schema.bench_respond
+        [ ("metric", `String "survival");
+          ("app", `String app.Buggy_app.name);
+          ("mode", `String "oblivious");
+          ("runs", `Int runs);
+          ("survived", `Int survived);
+          ("survival_rate", `Float (float_of_int survived /. float_of_int runs));
+          ("detections", `Int detected);
+          ("redirected_reads",
+           `Int (sum (fun s -> s.Respond.redirected_reads)));
+          ("redirected_writes",
+           `Int (sum (fun s -> s.Respond.redirected_writes)));
+          ("escapes", `Int (sum (fun s -> s.Respond.escapes))) ])
     (Buggy_app.all ())
 
 (* The purity pin guarantees oblivious mode changes no virtual cycle, so
@@ -574,19 +560,23 @@ let respond_overhead () =
   let baseline_ns = median (Array.map fst pairs) in
   let oblivious_ns = median (Array.map snd pairs) in
   let ratio = median (Array.map (fun (b, o) -> o /. b) pairs) in
-  print_endline
-    (Obs_json.to_string
-       (`Assoc
-         [ ("schema", `String respond_schema);
-           ("metric", `String "overhead");
-           ("app", `String app.Buggy_app.name);
-           ("mode", `String "oblivious");
-           ("runs", `Int runs);
-           ("ns_per_op", `Float oblivious_ns);
-           ("baseline_ns_per_op", `Float baseline_ns);
-           ("overhead_frac", `Float (ratio -. 1.0)) ]))
+  emit Jsonl_schema.bench_respond
+    [ ("metric", `String "overhead");
+      ("app", `String app.Buggy_app.name);
+      ("mode", `String "oblivious");
+      ("runs", `Int runs);
+      ("ns_per_op", `Float oblivious_ns);
+      ("baseline_ns_per_op", `Float baseline_ns);
+      ("overhead_frac", `Float (ratio -. 1.0)) ]
 
-let resilience_schema = "csod.bench.resilience/1"
+(* ------------------------------------------------------------------ *)
+(* Resilience: detection rate under injected faults (JSONL)            *)
+
+(* Explicit-only target: one row per (app, fault rate) running the fleet
+   simulator with the deterministic fault injector armed at the same rate
+   on every relevant point.  The curve quantifies graceful degradation —
+   how much detection survives when perf_event_open is contended, traps
+   are dropped, and worker domains crash.  Schema: csod.bench.resilience/1. *)
 
 let resilience () =
   let domains = max 2 (Pool.default_domains ()) in
@@ -630,35 +620,30 @@ let resilience () =
       | Some inj -> Fault_injector.count inj Fault_plan.Worker_crash
       | None -> 0
     in
-    print_endline
-      (Obs_json.to_string
-         (`Assoc
-           [ ("schema", `String resilience_schema);
-             ("app", `String app.Buggy_app.name);
-             ("config", `String (Config.label config));
-             ("users", `Int users);
-             ("benign_frac", `Float 0.25);
-             ("domains", `Int domains);
-             ("epoch_size", `Int 32);
-             ("fault_rate", `Float rate);
-             ("faults", `String (Fault_plan.to_string plan));
-             ("detections", `Int r.Fleet.detections);
-             ("detection_rate",
-              `Float
-                (float_of_int r.Fleet.detections /. float_of_int (max 1 buggy)));
-             ("degraded_executions", `Int !degraded);
-             ("faults_injected", `Int (!injected + crashes));
-             ("worker_crashes", `Int crashes);
-             ("store_contexts", `Int (Persist.count r.Fleet.store));
-             ("wall_seconds", `Float r.Fleet.wall_seconds) ]))
+    emit Jsonl_schema.bench_resilience
+      [ ("app", `String app.Buggy_app.name);
+        ("config", `String (Config.label config));
+        ("users", `Int users);
+        ("benign_frac", `Float 0.25);
+        ("domains", `Int domains);
+        ("epoch_size", `Int 32);
+        ("fault_rate", `Float rate);
+        ("faults", `String (Fault_plan.to_string plan));
+        ("detections", `Int r.Fleet.detections);
+        ("detection_rate",
+         `Float
+           (float_of_int r.Fleet.detections /. float_of_int (max 1 buggy)));
+        ("degraded_executions", `Int !degraded);
+        ("faults_injected", `Int (!injected + crashes));
+        ("worker_crashes", `Int crashes);
+        ("store_contexts", `Int (Persist.count r.Fleet.store));
+        ("wall_seconds", `Float r.Fleet.wall_seconds) ]
   in
   List.iter
     (fun name ->
       let app = Option.get (Buggy_app.by_name name) in
       List.iter (fun rate -> bench_one app rate) rates)
-    [ "Zziplib"; "Gzip" ];
-  respond_survival ();
-  respond_overhead ()
+    [ "Zziplib"; "Gzip" ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablation                                                            *)
@@ -788,8 +773,6 @@ let metrics () =
    machine) or "metrics" (flight recorder + telemetry snapshots armed).
    Schema: csod.bench.throughput/1. *)
 
-let throughput_schema = "csod.bench.throughput/1"
-
 (* Wall-clock ns/op of [f iters], after a warmup run of [f 1000]. *)
 let measure ~iters f =
   f (min 1000 iters);
@@ -800,18 +783,15 @@ let measure ~iters f =
 let throughput () =
   let row ~op ~mode ~iters ~opt ~base =
     let ops ns = 1e9 /. ns in
-    print_endline
-      (Obs_json.to_string
-         (`Assoc
-           [ ("schema", `String throughput_schema);
-             ("op", `String op);
-             ("mode", `String mode);
-             ("iters", `Int iters);
-             ("ns_per_op", `Float opt);
-             ("ops_per_sec", `Float (ops opt));
-             ("baseline_ns_per_op", `Float base);
-             ("baseline_ops_per_sec", `Float (ops base));
-             ("speedup", `Float (base /. opt)) ]))
+    emit Jsonl_schema.bench_throughput
+      [ ("op", `String op);
+        ("mode", `String mode);
+        ("iters", `Int iters);
+        ("ns_per_op", `Float opt);
+        ("ops_per_sec", `Float (ops opt));
+        ("baseline_ns_per_op", `Float base);
+        ("baseline_ops_per_sec", `Float (ops base));
+        ("speedup", `Float (base /. opt)) ]
   in
   let with_machine ~mode ~reference f =
     let machine = Machine.create ~seed:11 () in
@@ -1020,12 +1000,14 @@ let () =
   if List.mem "fleet" cmds then fleet_bench ();
   if List.mem "exec" cmds then exec_bench ();
   if List.mem "resilience" cmds then resilience ();
+  if List.mem "respond" cmds then (respond_survival (); respond_overhead ());
   if List.mem "throughput" cmds then throughput ();
   (* Keep stdout pure JSONL when a JSONL stream was requested. *)
   let jsonl =
     List.mem "metrics" cmds || List.mem "fleet" cmds
     || List.mem "exec" cmds
-    || List.mem "resilience" cmds || List.mem "throughput" cmds
+    || List.mem "resilience" cmds || List.mem "respond" cmds
+    || List.mem "throughput" cmds
   in
   let done_ch = if jsonl then stderr else stdout in
   Printf.fprintf done_ch "\nDone.\n"

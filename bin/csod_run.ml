@@ -838,15 +838,8 @@ let replay_cmd =
       | None -> ());
       List.iter
         (fun body ->
-          let str k =
-            match Obs_json.member k body with
-            | Some (`String s) -> s
-            | _ -> "?"
-          in
-          let int k =
-            Option.value ~default:0
-              (Option.bind (Obs_json.member k body) Obs_json.to_int)
-          in
+          let str k = Result.value ~default:"?" (Jsonl_schema.str k body) in
+          let int k = Result.value ~default:0 (Jsonl_schema.int k body) in
           Printf.printf "[alert] %s %s at epoch %d\n" (str "spec")
             (if str "state" = "fire" then "FIRING" else "cleared")
             (int "epoch"))
@@ -893,43 +886,24 @@ let top_cmd =
          & info [ "interval" ] ~docv:"SECS"
              ~doc:"Polling interval with $(b,--follow).")
   in
+  (* Blank, foreign and torn lines are skipped: the stream may be
+     mid-write when we poll it. *)
   let read_samples file =
     if not (Sys.file_exists file) then []
     else
-      In_channel.with_open_text file (fun ic ->
-          let rec go acc =
-            match In_channel.input_line ic with
-            | None -> List.rev acc
-            | Some line ->
-              let acc =
-                (* Skip blank, foreign and torn lines: the stream may be
-                   mid-write when we poll it. *)
-                if String.trim line = "" then acc
-                else
-                  match Obs_json.of_string line with
-                  | Ok json ->
-                    (match Health.of_json json with
-                    | Some s -> s :: acc
-                    | None -> acc)
-                  | Error _ -> acc
-              in
-              go acc
-          in
-          go [])
+      In_channel.with_open_text file In_channel.input_lines
+      |> List.filter_map (fun line ->
+             Result.to_option
+               (Result.bind (Obs_json.of_string line) Health.of_json))
   in
   (* A status file is a single csod.serve.status/1 object (atomically
-     republished by [serve --status-file]); anything else is treated as a
-     health JSONL stream. *)
+     republished by [serve --status-file]); anything [Serve.render_status]
+     does not recognise is treated as a health JSONL stream. *)
   let read_status file =
     if not (Sys.file_exists file) then None
     else
-      let content = In_channel.with_open_text file In_channel.input_all in
-      match Obs_json.of_string (String.trim content) with
-      | Ok json -> (
-        match Obs_json.member "schema" json with
-        | Some (`String "csod.serve.status/1") -> Some json
-        | _ -> None)
-      | Error _ -> None
+      In_channel.with_open_text file In_channel.input_all
+      |> String.trim |> Obs_json.of_string |> Result.to_option
   in
   let run file follow interval no_color =
     let color = (not no_color) && Unix.isatty Unix.stdout in
@@ -1017,17 +991,14 @@ let sim_cmd =
           incr bad;
           Printf.printf "record %d: FAIL %s\n" (i + 1) msg
         in
-        match Obs_json.of_string line with
-        | Error m -> fail ("unparsable JSON: " ^ m)
-        | Ok json -> (
-          match Sim.of_json json with
-          | Error m -> fail ("bad repro record: " ^ m)
-          | Ok f -> (
-            match Sim.replay Sim_registry.all f with
-            | Ok msg ->
-              Printf.printf "record %d: ok %s/%d %s\n" (i + 1) f.Sim.alphabet
-                f.Sim.seed msg
-            | Error m -> fail m)))
+        match Result.bind (Obs_json.of_string line) Sim.of_json with
+        | Error m -> fail ("bad repro record: " ^ m)
+        | Ok f -> (
+          match Sim.replay Sim_registry.all f with
+          | Ok msg ->
+            Printf.printf "record %d: ok %s/%d %s\n" (i + 1) f.Sim.alphabet
+              f.Sim.seed msg
+          | Error m -> fail m))
       lines;
     if !bad > 0 then begin
       Printf.eprintf "replay: %d of %d records diverged\n" !bad
@@ -1103,6 +1074,40 @@ let sim_cmd =
              hash over ops, arguments and per-step state digests).")
     Term.(const run $ alphabet_arg $ seed_arg $ sim_runs_arg
           $ ops_arg $ no_shrink_arg $ out_arg $ replay_arg)
+
+(* ---- validate: JSONL streams against their schema descriptions ---- *)
+
+let validate_cmd =
+  let schema_arg =
+    Arg.(value & opt (some string) None
+         & info [ "schema" ] ~docv:"TAG"
+             ~doc:("Require this tag on every line and a non-empty stream.  \
+                    Described tags (checked with or without this option): "
+                   ^ String.concat ", " Validate.described ^ "."))
+  in
+  let file_arg =
+    Arg.(value & pos 0 string "-" & info [] ~docv:"FILE" ~doc:"$(b,-) is stdin.")
+  in
+  let run schema file =
+    let read = In_channel.input_all in
+    match
+      Validate.contents ?schema ~name:file
+        (if file = "-" then read stdin else In_channel.with_open_bin file read)
+    with
+    | Ok n ->
+      Printf.printf "%s: %d valid JSONL line(s)%s\n" file n
+        (Option.fold schema ~none:"" ~some:(Printf.sprintf " [%s]"))
+    | Error m | (exception Sys_error m) ->
+      prerr_endline m;
+      exit 1
+  in
+  Cmd.v
+    (Cmd.info "validate"
+       ~doc:"Check a JSONL stream: one newline-terminated JSON object per \
+             line, each valid against its schema's description, alerts \
+             alternating fire/clear per spec, history seqs contiguous.  \
+             Exits 1 with $(i,FILE:LINE: reason) on the first bad line.")
+    Term.(const run $ schema_arg $ file_arg)
 
 (* ---- exec: user-supplied MiniC program ---- *)
 
@@ -1249,4 +1254,4 @@ let () =
     (Cmd.eval ~argv
        (Cmd.group info
           [ list_cmd; run_cmd; explain_cmd; fleet_cmd; serve_cmd; replay_cmd;
-            top_cmd; sim_cmd; exec_cmd ]))
+            top_cmd; sim_cmd; validate_cmd; exec_cmd ]))

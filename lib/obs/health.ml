@@ -65,55 +65,39 @@ let to_json s : Obs_json.t =
   `Assoc (("event", `String "fleet.health") :: fields s)
 
 let of_json json =
-  let ( let* ) = Option.bind in
-  let int k = Option.bind (Obs_json.member k json) Obs_json.to_int in
-  let flt k = Option.bind (Obs_json.member k json) Obs_json.to_float in
-  let* () =
-    match Obs_json.member "schema" json with
-    | Some (`String s) when s = schema -> Some ()
-    | _ -> None
-  in
-  let* epoch = int "epoch" in
-  let* arrivals = int "arrivals" in
-  let* detections = int "detections" in
-  let* cumulative = int "cumulative" in
-  let* users = int "users" in
-  let* cdf = flt "cdf" in
-  let* store_contexts = int "store_contexts" in
-  let* patched = int "patched" in
-  let* degraded = int "degraded" in
-  let* worker_crashes = int "worker_crashes" in
-  let* snapshots = int "snapshots" in
-  let* epoch_seconds = flt "epoch_seconds" in
-  let* merge_seconds = flt "merge_seconds" in
-  let* observer_seconds = flt "observer_seconds" in
-  let* execs_per_sec = flt "execs_per_sec" in
-  let* straggler_skew = flt "straggler_skew" in
-  let faults =
-    match Obs_json.member "faults" json with
-    | Some (`Assoc kvs) ->
-      List.filter_map
-        (fun (k, v) -> Option.map (fun n -> (k, n)) (Obs_json.to_int v))
-        kvs
-    | _ -> []
-  in
+  let open Jsonl_schema in
+  let ( let* ) = Result.bind in
+  let* () = tagged schema json in
+  let* epoch = int "epoch" json in
+  let* arrivals = int "arrivals" json in
+  let* detections = int "detections" json in
+  let* cumulative = int "cumulative" json in
+  let* users = int "users" json in
+  let* cdf = num "cdf" json in
+  let* store_contexts = int "store_contexts" json in
+  let* patched = int "patched" json in
+  let* degraded = int "degraded" json in
+  let* worker_crashes = int "worker_crashes" json in
+  let* faults = counters "faults" json in
+  let* snapshots = int "snapshots" json in
+  let* epoch_seconds = num "epoch_seconds" json in
+  let* merge_seconds = num "merge_seconds" json in
+  let* observer_seconds = num "observer_seconds" json in
+  let* execs_per_sec = num "execs_per_sec" json in
+  let* straggler_skew = num "straggler_skew" json in
+  let* _ = str "telemetry" json in (* always "sharded"; readers key on it *)
+  let* domains = list "domains" json in
   let* domains =
-    match Obs_json.member "domains" json with
-    | Some (`List items) ->
-      let parse d =
-        let i k = Option.bind (Obs_json.member k d) Obs_json.to_int in
-        let* slot = i "domain" in
-        let* executed = i "executed" in
-        let* busy_seconds =
-          Option.bind (Obs_json.member "busy_seconds" d) Obs_json.to_float
-        in
-        Some { slot; executed; busy_seconds }
-      in
-      let parsed = List.filter_map parse items in
-      if List.length parsed = List.length items then Some parsed else None
-    | _ -> None
+    each
+      (fun i d ->
+        Result.map_error (Printf.sprintf "domains[%d]: %s" i)
+          (let* slot = int "domain" d in
+           let* executed = int "executed" d in
+           let* busy_seconds = num "busy_seconds" d in
+           Ok { slot; executed; busy_seconds }))
+      domains
   in
-  Some
+  Ok
     { epoch; arrivals; detections; cumulative; users; cdf; store_contexts;
       patched; degraded; worker_crashes; faults; snapshots; epoch_seconds;
       merge_seconds; observer_seconds; execs_per_sec; straggler_skew;

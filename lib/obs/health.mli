@@ -51,7 +51,7 @@ type sample = {
 }
 
 val schema : string
-(** ["csod.fleet.health/1"]. *)
+(** The schema tag, [csod.fleet.health/1]. *)
 
 val straggler_skew : float list -> float
 (** [straggler_skew busy] is max/median over the positive entries; [1.0]
@@ -64,9 +64,9 @@ val fields : sample -> (string * Obs_json.t) list
 val to_json : sample -> Obs_json.t
 (** The full JSONL object: [{"event": "fleet.health", ...fields}]. *)
 
-val of_json : Obs_json.t -> sample option
-(** Parse a line of the stream back (used by [csod_run top]).  [None] if
-    the document is not a [csod.fleet.health/1] record. *)
+val of_json : Obs_json.t -> (sample, string) result
+(** Parse a line back ([csod_run top], [csod_run validate]); [Error] names
+    the first missing or mistyped field, or the foreign tag. *)
 
 val render : ?color:bool -> sample list -> string
 (** One-screen ANSI dashboard over the stream so far (oldest first):

@@ -75,6 +75,31 @@ let event_to_json (e : event) : Obs_json.t =
       ("len", `Int e.len);
       ("at_sec", `Float e.at_sec) ]
 
+let description =
+  let open Jsonl_schema in
+  let ( let* ) = Result.bind in
+  { tag = schema;
+    fields =
+      [ ("kind", Str); ("source", Str); ("site", Int); ("ctx", List);
+        ("addr", Int); ("offset", Int); ("len", Int); ("at_sec", Num) ];
+    row =
+      (fun json ->
+        let kinds = [ "redirect-read"; "redirect-write"; "escape"; "patch" ] in
+        let sources = [ Watchpoint; Asan_shadow; Canary ] in
+        let* kind = str "kind" json in
+        let* () = one_of ~what:"respond event kind" kinds kind in
+        let* source = str "source" json in
+        let* () =
+          one_of ~what:"respond source" (List.map source_name sources) source
+        in
+        let* ctx = list "ctx" json in
+        match ctx with
+        | [ `Int _; `Int _ ] -> Ok ()
+        | _ ->
+          Error
+            (Printf.sprintf "respond ctx %s is not an [int, int] pair"
+               (Obs_json.to_string (`List ctx)))) }
+
 type t = {
   mode : mode;
   (* (allocation base, byte offset past the object) -> squashed value.

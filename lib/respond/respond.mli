@@ -108,6 +108,9 @@ val survived : t -> bool
     was redirected before adjacent memory saw it. *)
 
 val schema : string
-(** ["csod.respond.event/1"]. *)
+(** The schema tag, [csod.respond.event/1]. *)
+
+val description : Jsonl_schema.t
+(** Known [kind] and [source], an \[int, int\] [ctx]. *)
 
 val pp_summary : Format.formatter -> summary -> unit

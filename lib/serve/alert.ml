@@ -127,14 +127,49 @@ type event = {
   window : Window.agg;
 }
 
+let schema = "csod.fleet.alert/1"
+
 let event_to_json e : Obs_json.t =
   `Assoc
-    [ ("schema", `String "csod.fleet.alert/1");
+    [ ("schema", `String schema);
       ("alert", `String e.rule.name);
       ("spec", `String (to_spec e.rule));
       ("state", `String (if e.firing then "fire" else "clear"));
       ("epoch", `Int e.epoch); ("since", `Int e.since);
       ("window", Window.agg_to_json e.window) ]
+
+(* One event on its own; the fire/clear alternation across a stream is
+   [Validate]'s to check, since it needs the events before. *)
+let description =
+  let open Jsonl_schema in
+  let ( let* ) = Result.bind in
+  { tag = schema;
+    fields =
+      [ ("alert", Str); ("spec", Str); ("state", Str); ("epoch", Int);
+        ("since", Int); ("window", Obj) ];
+    row =
+      (fun json ->
+        let* state = str "state" json in
+        let* () = one_of ~what:"alert state" [ "fire"; "clear" ] state in
+        let* epoch = int "epoch" json in
+        let* since = int "since" json in
+        let* w = obj "window" json in
+        let* { Window.first_epoch = first; last_epoch = last; epochs; _ } =
+          Window.agg_of_json (`Assoc w)
+          |> Result.map_error (( ^ ) "alert window: ")
+        in
+        if not (first <= last && last <= epoch) then
+          Error
+            (Printf.sprintf "alert window [%d, %d] outside epoch %d" first last
+               epoch)
+        else if epochs < 1 then
+          Error (Printf.sprintf "alert window covers %d epochs" epochs)
+        else if state = "fire" && since <> epoch then
+          Error (Printf.sprintf "fire event since %d != epoch %d" since epoch)
+        else if state = "clear" && not (0 <= since && since <= epoch) then
+          Error
+            (Printf.sprintf "clear event since %d outside [0, %d]" since epoch)
+        else Ok ()) }
 
 type state = { rule : rule; mutable firing : bool; mutable since : int }
 type t = { states : state list }
@@ -182,15 +217,9 @@ let restore_states t json =
   match json with
   | `List entries ->
     let parse e =
-      let str k =
-        match Obs_json.member k e with Some (`String s) -> Some s | _ -> None
-      in
-      let bool k =
-        match Obs_json.member k e with Some (`Bool b) -> Some b | _ -> None
-      in
-      let int k = Option.bind (Obs_json.member k e) Obs_json.to_int in
-      match (str "spec", bool "firing", int "since") with
-      | Some spec, Some firing, Some since -> Some (spec, firing, since)
+      let open Jsonl_schema in
+      match (str "spec" e, bool "firing" e, int "since" e) with
+      | Ok spec, Ok firing, Ok since -> Some (spec, firing, since)
       | _ -> None
     in
     let parsed = List.filter_map parse entries in

@@ -56,6 +56,11 @@ val event_to_json : event -> Obs_json.t
 (** Schema [csod.fleet.alert/1]: spec echo, state, epochs, and the full
     window snapshot. *)
 
+val description : Jsonl_schema.t
+(** Schema [csod.fleet.alert/1], one event: state [fire|clear], a window
+    aggregate of >= 1 epoch ending by the event's, [since = epoch] on fire,
+    [0 <= since <= epoch] on clear. *)
+
 type t
 (** Evaluation engine: rules plus their firing state. *)
 

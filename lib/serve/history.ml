@@ -33,30 +33,29 @@ let line r =
     {|{"schema":"%s","seq":%d,"kind":"%s","crc":"%016Lx","body":%s}|} schema
     r.seq (kind_to_string r.kind) (crc body) body
 
+let of_json json =
+  let open Jsonl_schema in
+  let ( let* ) = Result.bind in
+  let* () = tagged schema json in
+  let* seq = int "seq" json in
+  let* kind = str "kind" json in
+  let* kind =
+    Option.to_result (kind_of_string kind)
+      ~none:(Printf.sprintf "unknown history kind '%s'" kind)
+  in
+  let* stored = str "crc" json in
+  let* body = obj "body" json in
+  let body = `Assoc body in
+  let actual = Printf.sprintf "%016Lx" (crc (Obs_json.to_string body)) in
+  if stored = actual then Ok { seq; kind; body }
+  else
+    Error
+      (Printf.sprintf "seq %d: checksum mismatch (%s vs %s)" seq stored actual)
+
 let parse_line s =
   match Obs_json.of_string s with
   | Error e -> Error ("unparseable line: " ^ e)
-  | Ok json -> (
-    let str k =
-      match Obs_json.member k json with Some (`String v) -> Some v | _ -> None
-    in
-    match
-      ( str "schema",
-        Option.bind (Obs_json.member "seq" json) Obs_json.to_int,
-        Option.bind (str "kind") kind_of_string,
-        str "crc", Obs_json.member "body" json )
-    with
-    | Some sc, _, _, _, _ when sc <> schema ->
-      Error (Printf.sprintf "wrong schema %S" sc)
-    | Some _, Some seq, Some kind, Some stored, Some body ->
-      let rendered = Obs_json.to_string body in
-      let actual = Printf.sprintf "%016Lx" (crc rendered) in
-      if String.lowercase_ascii stored = actual then Ok { seq; kind; body }
-      else
-        Error
-          (Printf.sprintf "seq %d: checksum mismatch (%s vs %s)" seq stored
-             actual)
-    | _ -> Error "missing field")
+  | Ok json -> of_json json
 
 (* Writing *)
 

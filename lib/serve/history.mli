@@ -16,7 +16,7 @@
     dashboard and re-evaluates alert rules from these files alone. *)
 
 val schema : string
-(** ["csod.serve.history/1"]. *)
+(** The schema tag, [csod.serve.history/1]. *)
 
 type kind = Meta | Health | Alert
 
@@ -27,9 +27,13 @@ type record = { seq : int; kind : kind; body : Obs_json.t }
 val line : record -> string
 (** The serialized JSONL line (no trailing newline). *)
 
+val of_json : Obs_json.t -> (record, string) result
+(** Strict decode ([csod_run validate] runs it): field kinds, a known
+    [kind], an object [body], the exact checksum.  [Error] says what
+    failed. *)
+
 val parse_line : string -> (record, string) result
-(** Strict single-line parse: schema, field and checksum verification.
-    [Error] describes what failed. *)
+(** {!of_json} over one unparsed line. *)
 
 (** {2 Writing} *)
 

@@ -231,139 +231,100 @@ let fresh cfg ~execute =
   t
 
 let resume cfg ~execute json =
-  let ( let* ) = Option.bind in
-  let int k = Option.bind (Obs_json.member k json) Obs_json.to_int in
-  let parsed =
-    let* schema =
-      match Obs_json.member "schema" json with
-      | Some (`String s) -> Some s
-      | _ -> None
-    in
-    if schema <> checkpoint_schema then None
-    else
-      let* epoch = int "epoch" in
-      let* next_uid = int "next_uid" in
-      let* arrived = int "arrived" in
-      let* detections = int "detections" in
-      let* total_cycles = int "total_cycles" in
-      (* Absent in pre-respond checkpoints: read as 0. *)
-      let patched = Option.value ~default:0 (int "patched") in
-      let* degraded = int "degraded" in
-      let* worker_crashes = int "worker_crashes" in
-      let* snapshots = int "snapshots" in
-      let* faults_cum =
-        match Obs_json.member "faults" json with
-        | Some (`Assoc kvs) ->
-          let parsed =
-            List.filter_map
-              (fun (k, v) -> Option.map (fun n -> (k, n)) (Obs_json.to_int v))
-              kvs
-          in
-          if List.length parsed = List.length kvs then Some parsed else None
-        | _ -> None
-      in
-      let* store_keys =
-        match Obs_json.member "store" json with
-        | Some (`List l) ->
-          (* [site; off] (pre-respond, hits = 1) or [site; off; hits]. *)
-          let key = function
-            | `List [ a; b ] -> (
-              match (Obs_json.to_int a, Obs_json.to_int b) with
-              | Some a, Some b -> Some (a, b, 1)
-              | _ -> None)
-            | `List [ a; b; h ] -> (
-              match (Obs_json.to_int a, Obs_json.to_int b, Obs_json.to_int h)
-              with
-              | Some a, Some b, Some h when h >= 1 -> Some (a, b, h)
-              | _ -> None)
-            | _ -> None
-          in
-          let parsed = List.filter_map key l in
-          if List.length parsed = List.length l then Some parsed else None
-        | _ -> None
-      in
-      let* wins =
-        Option.bind (Obs_json.member "windows" json) Window.set_of_json
-      in
-      let* history =
-        match Obs_json.member "history" json with
-        | Some `Null -> Some None
-        | Some h ->
-          let hint k = Option.bind (Obs_json.member k h) Obs_json.to_int in
-          let* seq = hint "seq" in
-          let* segment = hint "segment" in
-          let* lines = hint "lines" in
-          Some (Some (seq, segment, lines))
-        | None -> None
-      in
-      Some
-        ( epoch, next_uid, arrived, detections, total_cycles, patched,
-          degraded, worker_crashes, snapshots, faults_cum, store_keys, wins,
-          history )
+  let open Jsonl_schema in
+  let ( let* ) = Result.bind in
+  let* () = tagged checkpoint_schema json in
+  let* epoch = int "epoch" json in
+  let* next_uid = int "next_uid" json in
+  let* arrived = int "arrived" json in
+  let* detections = int "detections" json in
+  let* total_cycles = int "total_cycles" json in
+  (* Absent in pre-respond checkpoints: read as 0. *)
+  let* patched =
+    if Obs_json.member "patched" json = None then Ok 0 else int "patched" json
   in
-  match parsed with
-  | None -> Error "malformed checkpoint"
-  | Some
-      ( epoch, next_uid, arrived, detections, total_cycles, patched, degraded,
-        worker_crashes, snapshots, faults_cum, store_keys, wins, history ) ->
-    let alerts = Alert.engine cfg.rules in
-    let ok =
-      match Obs_json.member "alerts" json with
-      | Some states -> Alert.restore_states alerts states
-      | None -> false
+  let* degraded = int "degraded" json in
+  let* worker_crashes = int "worker_crashes" json in
+  let* snapshots = int "snapshots" json in
+  let* faults_cum = counters "faults" json in
+  let* store = list "store" json in
+  let* store_keys =
+    (* [site; off] (pre-respond, hits = 1) or [site; off; hits]. *)
+    each
+      (fun i -> function
+        | `List [ `Int a; `Int b ] -> Ok (a, b, 1)
+        | `List [ `Int a; `Int b; `Int h ] when h >= 1 -> Ok (a, b, h)
+        | _ -> Error (Printf.sprintf "malformed store key %d" i))
+      store
+  in
+  let* wins =
+    Option.to_result ~none:"malformed windows"
+      (Option.bind (Obs_json.member "windows" json) Window.set_of_json)
+  in
+  let* history =
+    match Obs_json.member "history" json with
+    | Some `Null -> Ok None
+    | Some h ->
+      let* seq = int "seq" h in
+      let* segment = int "segment" h in
+      let* lines = int "lines" h in
+      Ok (Some (seq, segment, lines))
+    | None -> Error "missing field 'history'"
+  in
+  let alerts = Alert.engine cfg.rules in
+  let ok =
+    match Obs_json.member "alerts" json with
+    | Some states -> Alert.restore_states alerts states
+    | None -> false
+  in
+  if not ok then Error "alert states do not match the rule set"
+  else if Window.sizes wins <> all_window_sizes cfg then
+    Error "window sizes do not match the configuration"
+  else
+    let store = Persist.create () in
+    List.iter
+      (fun (a, b, h) ->
+        for _ = 1 to h do Persist.add store (a, b) done)
+      store_keys;
+    (* The fleet's [patched] tally is a state count over the shared
+       store; seed the delta baseline from the restored evidence so the
+       first resumed epoch reports only {e new} convictions. *)
+    let prev_patched =
+      match cfg.patch_threshold with
+      | None -> 0
+      | Some th ->
+        List.length (List.filter (fun (_, _, h) -> h >= th) store_keys)
     in
-    if not ok then Error "checkpoint alert states do not match the rule set"
-    else if Window.sizes wins <> all_window_sizes cfg then
-      Error "checkpoint window sizes do not match the configuration"
-    else begin
-      let store = Persist.create () in
-      List.iter
-        (fun (a, b, h) ->
-          for _ = 1 to h do Persist.add store (a, b) done)
-        store_keys;
-      (* The fleet's [patched] tally is a state count over the shared
-         store; seed the delta baseline from the restored evidence so the
-         first resumed epoch reports only {e new} convictions. *)
-      let prev_patched =
-        match cfg.patch_threshold with
-        | None -> 0
-        | Some th ->
-          List.length (List.filter (fun (_, _, h) -> h >= th) store_keys)
-      in
-      let hist =
-        match (cfg.history_dir, history) with
-        | Some dir, Some (seq, segment, lines) ->
-          History.truncate dir ~segment ~lines;
-          Some (History.writer ~rotate:cfg.rotate ~seq ~segment ~lines dir)
-        | Some dir, None -> Some (History.writer ~rotate:cfg.rotate dir)
-        | None, _ -> None
-      in
-      Ok
-        { cfg;
-          fleet =
-            Fleet.start ~store ~lean:true ~epoch0:epoch ~uid0:next_uid
-              (Fleet.config ~domains:cfg.domains ~epoch_size:cfg.epoch_size
-                 ?faults:cfg.faults ?patch_threshold:cfg.patch_threshold
-                 cfg.workload)
-              ~execute;
-          wins; alerts; hist;
-          t_start = Unix.gettimeofday ();
-          arrived; detections; total_cycles; patched; degraded;
-          worker_crashes; snapshots; faults_cum;
-          prev_patched; prev_degraded = 0; prev_crashes = 0;
-          prev_snapshots = 0; prev_faults = []; last_obs = None }
-    end
+    let hist =
+      match (cfg.history_dir, history) with
+      | Some dir, Some (seq, segment, lines) ->
+        History.truncate dir ~segment ~lines;
+        Some (History.writer ~rotate:cfg.rotate ~seq ~segment ~lines dir)
+      | Some dir, None -> Some (History.writer ~rotate:cfg.rotate dir)
+      | None, _ -> None
+    in
+    Ok
+      { cfg;
+        fleet =
+          Fleet.start ~store ~lean:true ~epoch0:epoch ~uid0:next_uid
+            (Fleet.config ~domains:cfg.domains ~epoch_size:cfg.epoch_size
+               ?faults:cfg.faults ?patch_threshold:cfg.patch_threshold
+               cfg.workload)
+            ~execute;
+        wins; alerts; hist;
+        t_start = Unix.gettimeofday ();
+        arrived; detections; total_cycles; patched; degraded;
+        worker_crashes; snapshots; faults_cum;
+        prev_patched; prev_degraded = 0; prev_crashes = 0;
+        prev_snapshots = 0; prev_faults = []; last_obs = None }
 
 let start cfg ~execute =
   match cfg.checkpoint_path with
   | Some path when Sys.file_exists path -> (
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let content = really_input_string ic len in
-    close_in ic;
-    match Obs_json.of_string (String.trim content) with
-    | Error e -> Error (Printf.sprintf "checkpoint %s: %s" path e)
-    | Ok json -> resume cfg ~execute json)
+    let content = In_channel.with_open_bin path In_channel.input_all in
+    Result.map_error (Printf.sprintf "checkpoint %s: %s" path)
+      (Result.bind (Obs_json.of_string (String.trim content))
+         (resume cfg ~execute)))
   | _ -> Ok (fresh cfg ~execute)
 
 (* ---- the epoch ---- *)
@@ -470,10 +431,8 @@ let render_status ?(color = true) json =
   match Obs_json.member "schema" json with
   | Some (`String s) when s = status_schema ->
     let c code s = if color then Printf.sprintf "\x1b[%sm%s\x1b[0m" code s else s in
-    let int k = Option.value ~default:0 (Option.bind (Obs_json.member k json) Obs_json.to_int) in
-    let flt k =
-      Option.value ~default:0.0 (Option.bind (Obs_json.member k json) Obs_json.to_float)
-    in
+    let int k = Result.value ~default:0 (Jsonl_schema.int k json) in
+    let flt k = Result.value ~default:0.0 (Jsonl_schema.num k json) in
     let b = Buffer.create 1024 in
     Buffer.add_string b
       (Printf.sprintf "%s  epoch %d  virtual %.1f s\n"
@@ -499,14 +458,14 @@ let render_status ?(color = true) json =
       List.iter
         (fun (w, agg) ->
           match Window.agg_of_json agg with
-          | Some a ->
+          | Ok a ->
             Buffer.add_string b
               (Printf.sprintf
                  "%6s  %7d  %8d  %6d  %8d  %7d  %5.2f  %5.2f%%\n" w
                  a.Window.epochs a.Window.arrivals a.Window.detections
                  a.Window.degraded a.Window.worker_crashes a.Window.skew_max
                  (100.0 *. a.Window.cdf_last))
-          | None -> ())
+          | Error _ -> ())
         wins
     | _ -> ());
     (match Obs_json.member "alerts" json with
@@ -592,7 +551,9 @@ let replay dir =
     let observations =
       List.filter_map
         (fun (r : History.record) ->
-          if r.kind = History.Health then Serve_obs.of_json r.body else None)
+          if r.kind = History.Health then
+            Result.to_option (Serve_obs.of_json r.body)
+          else None)
         records
     in
     let recorded =

@@ -31,36 +31,27 @@ let to_json o : Obs_json.t =
       ("cycle_skew", `Float o.cycle_skew) ]
 
 let of_json json =
-  let ( let* ) = Option.bind in
-  let int k = Option.bind (Obs_json.member k json) Obs_json.to_int in
-  let flt k = Option.bind (Obs_json.member k json) Obs_json.to_float in
-  let* epoch = int "epoch" in
-  let* arrivals = int "arrivals" in
-  let* arrived = int "arrived" in
-  let* detections = int "detections" in
-  let* cumulative = int "cumulative" in
-  let* cdf = flt "cdf" in
-  let* store_contexts = int "store_contexts" in
+  let open Jsonl_schema in
+  let ( let* ) = Result.bind in
+  let* epoch = int "epoch" json in
+  let* arrivals = int "arrivals" json in
+  let* arrived = int "arrived" json in
+  let* detections = int "detections" json in
+  let* cumulative = int "cumulative" json in
+  let* cdf = num "cdf" json in
+  let* store_contexts = int "store_contexts" json in
   (* Absent in pre-respond histories: read as 0 so old segments replay. *)
-  let patched = Option.value ~default:0 (int "patched") in
-  let* degraded = int "degraded" in
-  let* worker_crashes = int "worker_crashes" in
-  let* snapshots = int "snapshots" in
-  let* cycles = int "cycles" in
-  let* virtual_seconds = flt "virtual_seconds" in
-  let* cycle_skew = flt "cycle_skew" in
-  let* faults =
-    match Obs_json.member "faults" json with
-    | Some (`Assoc kvs) ->
-      let parsed =
-        List.filter_map
-          (fun (k, v) -> Option.map (fun n -> (k, n)) (Obs_json.to_int v))
-          kvs
-      in
-      if List.length parsed = List.length kvs then Some parsed else None
-    | _ -> None
+  let* patched =
+    if Obs_json.member "patched" json = None then Ok 0 else int "patched" json
   in
-  Some
+  let* degraded = int "degraded" json in
+  let* worker_crashes = int "worker_crashes" json in
+  let* snapshots = int "snapshots" json in
+  let* cycles = int "cycles" json in
+  let* virtual_seconds = num "virtual_seconds" json in
+  let* cycle_skew = num "cycle_skew" json in
+  let* faults = counters "faults" json in
+  Ok
     { epoch; arrivals; arrived; detections; cumulative; cdf; store_contexts;
       patched; degraded; worker_crashes; faults; snapshots; cycles;
       virtual_seconds; cycle_skew }

@@ -42,6 +42,6 @@ val to_json : t -> Obs_json.t
 (** The record as a JSON object — the [body] of a [kind = "health"]
     history line. *)
 
-val of_json : Obs_json.t -> t option
-(** Parse a record back ([csod_run replay]'s reader).  [None] when a
-    required field is missing or mistyped. *)
+val of_json : Obs_json.t -> (t, string) result
+(** Parse a record back ([csod_run replay], [csod_run validate]); [Error]
+    names the first missing or mistyped field. *)

@@ -73,36 +73,27 @@ let agg_to_json a : Obs_json.t =
       ("virtual_last", `Float a.virtual_last) ]
 
 let agg_of_json json =
-  let ( let* ) = Option.bind in
-  let int k = Option.bind (Obs_json.member k json) Obs_json.to_int in
-  let flt k = Option.bind (Obs_json.member k json) Obs_json.to_float in
-  let* epochs = int "epochs" in
-  let* first_epoch = int "first_epoch" in
-  let* last_epoch = int "last_epoch" in
-  let* arrivals = int "arrivals" in
-  let* detections = int "detections" in
+  let open Jsonl_schema in
+  let ( let* ) = Result.bind in
+  let* epochs = int "epochs" json in
+  let* first_epoch = int "first_epoch" json in
+  let* last_epoch = int "last_epoch" json in
+  let* arrivals = int "arrivals" json in
+  let* detections = int "detections" json in
   (* Absent in pre-respond checkpoints: read as 0. *)
-  let patched = Option.value ~default:0 (int "patched") in
-  let* degraded = int "degraded" in
-  let* worker_crashes = int "worker_crashes" in
-  let* snapshots = int "snapshots" in
-  let* cycles = int "cycles" in
-  let* skew_max = flt "skew_max" in
-  let* cdf_last = flt "cdf_last" in
-  let* store_last = int "store_last" in
-  let* virtual_last = flt "virtual_last" in
-  let* faults =
-    match Obs_json.member "faults" json with
-    | Some (`Assoc kvs) ->
-      let parsed =
-        List.filter_map
-          (fun (k, v) -> Option.map (fun n -> (k, n)) (Obs_json.to_int v))
-          kvs
-      in
-      if List.length parsed = List.length kvs then Some parsed else None
-    | _ -> None
+  let* patched =
+    if Obs_json.member "patched" json = None then Ok 0 else int "patched" json
   in
-  Some
+  let* degraded = int "degraded" json in
+  let* worker_crashes = int "worker_crashes" json in
+  let* snapshots = int "snapshots" json in
+  let* cycles = int "cycles" json in
+  let* skew_max = num "skew_max" json in
+  let* cdf_last = num "cdf_last" json in
+  let* store_last = int "store_last" json in
+  let* virtual_last = num "virtual_last" json in
+  let* faults = counters "faults" json in
+  Ok
     { epochs; first_epoch; last_epoch; arrivals; detections; patched;
       degraded; worker_crashes; faults; snapshots; cycles; skew_max; cdf_last;
       store_last; virtual_last }
@@ -188,11 +179,8 @@ let set_of_json json =
         let* count = Option.bind (Obs_json.member "count" v) Obs_json.to_int in
         let* slots =
           match Obs_json.member "slots" v with
-          | Some (`List l) ->
-            let parsed = List.filter_map agg_of_json l in
-            if List.length parsed = List.length l && List.length l <= w then
-              Some parsed
-            else None
+          | Some (`List l) when List.length l <= w ->
+            Result.to_option (Jsonl_schema.each (fun _ -> agg_of_json) l)
           | _ -> None
         in
         let t = create ~size:w in

@@ -39,7 +39,8 @@ val merge : agg -> agg -> agg
     Associative over any adjacent grouping; [empty] is the identity. *)
 
 val agg_to_json : agg -> Obs_json.t
-val agg_of_json : Obs_json.t -> agg option
+val agg_of_json : Obs_json.t -> (agg, string) result
+(** [Error] names the first missing or mistyped field. *)
 
 type t
 (** One rolling window: a ring of the last [size] per-epoch aggregates. *)

@@ -295,42 +295,46 @@ let to_json f : Obs_json.t =
       ("replay_hash", `String (hash_hex f.replay_hash));
       ("shrunk_from", `Int f.shrunk_from) ]
 
+let is_hash_hex h =
+  String.length h = 16
+  && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) h
+
 let of_json json =
-  let open Obs_json in
-  let str k = match member k json with Some (`String s) -> Some s | _ -> None in
-  let int k = Option.bind (member k json) to_int in
-  match (str "schema", str "alphabet", int "seed", member "ops" json) with
-  | Some s, _, _, _ when s <> schema ->
-    Error (Printf.sprintf "schema %S, expected %S" s schema)
-  | _, Some alphabet, Some seed, Some (`List ops) -> (
-    let parse_step = function
-      | `Assoc _ as o -> (
-        match (member "op" o, member "args" o) with
-        | Some (`String name), Some (`List args) ->
-          let args = List.filter_map to_int args in
-          Some { op = name; args }
-        | _ -> None)
-      | _ -> None
-    in
-    let steps = List.filter_map parse_step ops in
-    if List.length steps <> List.length ops then Error "malformed op entry"
+  let open Jsonl_schema in
+  let ( let* ) = Result.bind in
+  let* () = tagged schema json in
+  let* alphabet = str "alphabet" json in
+  let* seed = int "seed" json in
+  let* ops = list "ops" json in
+  let* steps =
+    each
+      (fun i step ->
+        let bad what = Error (Printf.sprintf "op %d %s" i what) in
+        let not_ints = "args are not a list of ints" in
+        let int_arg _ = function `Int v -> Ok v | _ -> bad not_ints in
+        match (step, str "op" step, list "args" step) with
+        | `Assoc _, Ok op, Ok args ->
+          Result.map (fun args -> { op; args }) (each int_arg args)
+        | `Assoc _, Error e, _ -> bad e
+        | `Assoc _, _, Error _ -> bad not_ints
+        | _ -> bad "is not an object")
+      ops
+  in
+  let* failed_at = int "failed_at" json in
+  let* message = str "failure" json in
+  let* hex = str "replay_hash" json in
+  let* () =
+    if is_hash_hex hex then Ok ()
     else
-      match (int "failed_at", str "failure", str "replay_hash") with
-      | Some failed_at, Some message, Some hex -> (
-        match Int64.of_string_opt ("0x" ^ hex) with
-        | None -> Error (Printf.sprintf "bad replay_hash %S" hex)
-        | Some replay_hash ->
-          Ok
-            { alphabet;
-              seed;
-              steps;
-              failed_at;
-              message;
-              replay_hash;
-              shrunk_from =
-                Option.value (int "shrunk_from") ~default:(List.length steps) })
-      | _ -> Error "missing failed_at/failure/replay_hash")
-  | _ -> Error "missing alphabet/seed/ops"
+      Error
+        (Printf.sprintf "replay_hash '%s' is not 16 lowercase hex digits" hex)
+  in
+  let* shrunk_from = int "shrunk_from" json in
+  Ok
+    { alphabet; seed; steps; failed_at; message;
+      replay_hash = Int64.of_string ("0x" ^ hex); shrunk_from }
+
+let op_names (Packed a) = List.map (fun o -> o.op_name) a.ops
 
 let repro_line f = Obs_json.to_string (to_json f)
 

@@ -120,10 +120,17 @@ val run_packed :
 (** {1 Repros} *)
 
 val schema : string
-(** ["csod.sim.repro/1"]. *)
+(** The schema tag, [csod.sim.repro/1]. *)
 
 val to_json : failure -> Obs_json.t
 val of_json : Obs_json.t -> (failure, string) result
+(** Strict decode ([csod_run validate] runs it): op entries are
+    [{"op": name, "args": [int, ...]}], the replay hash 16 lowercase hex
+    digits. *)
+
+val op_names : packed -> string list
+(** The alphabet's operation names, declaration order: the vocabulary a
+    repro of that alphabet may use. *)
 
 val repro_line : failure -> string
 (** The counterexample as one [csod.sim.repro/1] JSONL line. *)

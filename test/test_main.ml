@@ -25,5 +25,6 @@ let () =
       ("faults", Test_faults.suite);
       ("harness", Test_harness.suite);
       ("respond", Test_respond.suite);
+      ("validate", Test_validate.suite);
       ("misc", Test_misc.suite);
       ("limitations", Test_limitations.suite) ]

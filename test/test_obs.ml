@@ -793,16 +793,17 @@ let test_health_roundtrip () =
     Alcotest.(check bool) "schema tagged" true
       (Obs_json.member "schema" j = Some (`String Health.schema));
     match Health.of_json j with
-    | Some s -> Alcotest.(check bool) "round-trips" true (s = health_sample)
-    | None -> Alcotest.fail "of_json rejected its own encoding")
+    | Ok s -> Alcotest.(check bool) "round-trips" true (s = health_sample)
+    | Error m -> Alcotest.fail ("of_json rejected its own encoding: " ^ m))
   | Error msg -> Alcotest.fail ("health line does not parse: " ^ msg));
   (* Foreign records are rejected, not mis-parsed. *)
   Alcotest.(check bool) "wrong schema rejected" true
-    (Health.of_json (`Assoc [ ("schema", `String "csod.bench/1") ]) = None);
+    (Result.is_error
+       (Health.of_json (`Assoc [ ("schema", `String "csod.bench/1") ])));
   Alcotest.(check bool) "missing field rejected" true
-    (Health.of_json
-       (`Assoc [ ("schema", `String Health.schema); ("epoch", `Int 1) ])
-    = None)
+    (Result.is_error
+       (Health.of_json
+          (`Assoc [ ("schema", `String Health.schema); ("epoch", `Int 1) ])))
 
 let test_health_skew_and_render () =
   Alcotest.(check (float 1e-9)) "skew of empty" 1.0 (Health.straggler_skew []);
@@ -880,8 +881,8 @@ let test_health_zero_executed () =
   (match Obs_json.of_string (Obs_json.to_string (Health.to_json idle)) with
   | Ok j -> (
     match Health.of_json j with
-    | Some s -> Alcotest.(check bool) "idle epoch round-trips" true (s = idle)
-    | None -> Alcotest.fail "of_json rejected an idle epoch")
+    | Ok s -> Alcotest.(check bool) "idle epoch round-trips" true (s = idle)
+    | Error m -> Alcotest.fail ("of_json rejected an idle epoch: " ^ m))
   | Error msg -> Alcotest.fail ("idle epoch does not parse: " ^ msg));
   let plain = Health.render ~color:false [ idle ] in
   Alcotest.(check bool) "idle epoch renders" true

@@ -91,10 +91,12 @@ let test_window_merge_properties () =
 let test_window_agg_json_roundtrip () =
   let a = linear_fold (List.init 23 obs) in
   (match Window.agg_of_json (Window.agg_to_json a) with
-  | Some b -> Alcotest.check agg "agg round-trips" a b
-  | None -> Alcotest.fail "agg_of_json failed");
+  | Ok b -> Alcotest.check agg "agg round-trips" a b
+  | Error m -> Alcotest.fail ("agg_of_json failed: " ^ m));
   Alcotest.(check (option reject)) "garbage rejected" None
-    (Option.map ignore (Window.agg_of_json (`Assoc [ ("epochs", `String "x") ])))
+    (Option.map ignore
+       (Result.to_option
+          (Window.agg_of_json (`Assoc [ ("epochs", `String "x") ]))))
 
 let test_window_set_roundtrip () =
   let s = Window.set [ 1; 10; 100; 10 ] in
@@ -403,7 +405,8 @@ let test_serve_windows_match_history_fold () =
   let os =
     List.filter_map
       (fun (r : History.record) ->
-        if r.History.kind = History.Health then Serve_obs.of_json r.History.body
+        if r.History.kind = History.Health then
+          Result.to_option (Serve_obs.of_json r.History.body)
         else None)
       records
   in
